@@ -18,14 +18,14 @@
 
 #include <cstdio>
 
-#include "runtime/duplex_session.hpp"
+#include "link/duplex_session.hpp"
 #include "workload/report.hpp"
 #include "workload/scenario.hpp"
 
 using namespace bacp;
 using namespace bacp::literals;
-using runtime::DuplexConfig;
-using runtime::DuplexSession;
+using link::DuplexConfig;
+using link::DuplexSession;
 
 namespace {
 

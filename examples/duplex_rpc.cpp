@@ -13,7 +13,7 @@
 #include <map>
 
 #include "common/histogram.hpp"
-#include "runtime/duplex_session.hpp"
+#include "link/duplex_session.hpp"
 
 using namespace bacp;
 using namespace bacp::literals;
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     const double loss = argc > 1 ? std::atof(argv[1]) : 0.05;
     constexpr Seq kRequests = 2000;
 
-    runtime::DuplexConfig cfg;
+    link::DuplexConfig cfg;
     cfg.w = 16;
     cfg.count_a_to_b = kRequests;  // requests
     cfg.count_b_to_a = kRequests;  // responses
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     cfg.ab_link = loss > 0 ? runtime::LinkSpec::lossy(loss) : runtime::LinkSpec::lossless();
     cfg.ba_link = loss > 0 ? runtime::LinkSpec::lossy(loss) : runtime::LinkSpec::lossless();
     cfg.seed = 2026;
-    runtime::DuplexSession session(cfg);
+    link::DuplexSession session(cfg);
     const auto result = session.run();
 
     std::printf("duplex RPC: %llu requests + %llu responses over %.0f%%-lossy links\n",

@@ -20,6 +20,18 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBACP_SANITIZE="$S
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 
+# Example smoke runs: the discrete-event link layer end to end.  Each
+# example exits nonzero when any payload is missing, out of order or
+# corrupted, so an incomplete delivery fails the script.
+echo "== example smoke: quickstart (ReliableLink) =="
+"$BUILD_DIR"/examples/quickstart
+echo "== example smoke: file_transfer (ReliableLink, 1 MiB) =="
+"$BUILD_DIR"/examples/file_transfer
+echo "== example smoke: multihop (end-to-end, hop-by-hop, StreamMux) =="
+"$BUILD_DIR"/examples/multihop
+echo "== example smoke: duplex_rpc (DuplexSession) =="
+"$BUILD_DIR"/examples/duplex_rpc
+
 # Example smoke runs: the real-time runtime end to end.  Deterministic
 # replay first, then a small wall-clock UDP transfer with a hard cap so
 # a wedged event loop fails fast instead of hanging CI.

@@ -129,7 +129,10 @@ public:
         for (;;) {
             const std::uint64_t next = next_event_tick();
             if (next > target) {
-                base_tick_ = target;
+                // Never move the cursor back: a handler that re-armed the
+                // emptied wheel re-based it at its own, later, clock
+                // reading, and its entry is placed against that base.
+                base_tick_ = std::max(base_tick_, target);
                 break;
             }
             advance_to(next);

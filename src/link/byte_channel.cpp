@@ -5,6 +5,27 @@
 
 namespace bacp::link {
 
+ByteChannel::Config ByteChannel::Config::lossy(double loss, SimTime delay_lo, SimTime delay_hi,
+                                               double corrupt_p) {
+    Config config;
+    if (loss > 0) config.loss = std::make_unique<channel::BernoulliLoss>(loss);
+    config.delay = std::make_unique<channel::UniformDelay>(delay_lo, delay_hi);
+    config.corrupt_p = corrupt_p;
+    return config;
+}
+
+ByteChannel::Config ByteChannel::Config::from_spec(const runtime::LinkSpec& spec) {
+    BACP_ASSERT_MSG(!spec.fifo && !spec.track_contents,
+                    "byte channels are unordered and untracked");
+    sim::SimChannel::Config models = spec.make_config();
+    Config config;
+    config.loss = std::move(models.loss);
+    config.delay = std::move(models.delay);
+    config.service_time = models.service_time;
+    config.queue_capacity = models.queue_capacity;
+    return config;
+}
+
 ByteChannel::ByteChannel(sim::Simulator& sim, Rng& rng, Config config, std::string name)
     : sim_(sim),
       rng_(rng),

@@ -18,6 +18,7 @@
 #include "channel/delay_model.hpp"
 #include "channel/loss_model.hpp"
 #include "common/rng.hpp"
+#include "runtime/link_spec.hpp"
 #include "sim/simulator.hpp"
 
 namespace bacp::link {
@@ -47,6 +48,16 @@ public:
         /// small ack frames are genuinely cheaper than payload frames.
         SimTime service_per_byte = 0;
         std::size_t queue_capacity = 64;
+
+        /// Bernoulli loss (none at 0), uniform delay in [delay_lo,
+        /// delay_hi] and bit-flip corruption: the shape of every link
+        /// channel.
+        static Config lossy(double loss, SimTime delay_lo, SimTime delay_hi,
+                            double corrupt_p = 0.0);
+        /// The loss, delay and bottleneck models a LinkSpec describes
+        /// (its SimChannel-only knobs, fifo and content tracking, must be
+        /// off).
+        static Config from_spec(const runtime::LinkSpec& spec);
     };
 
     ByteChannel(sim::Simulator& sim, Rng& rng, Config config, std::string name = "B");

@@ -1,22 +1,25 @@
 #include "link/multihop.hpp"
 
 #include "common/assert.hpp"
+#include "runtime/session_util.hpp"
 
 namespace bacp::link {
 
 namespace {
 
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-    std::uint64_t s = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
-    return splitmix64(s);
-}
+using runtime::mix_seed;
 
 ByteChannel::Config hop_channel(const HopSpec& hop) {
-    ByteChannel::Config config;
-    if (hop.loss > 0) config.loss = std::make_unique<channel::BernoulliLoss>(hop.loss);
-    config.delay = std::make_unique<channel::UniformDelay>(hop.delay_lo, hop.delay_hi);
-    config.corrupt_p = hop.corrupt_p;
-    return config;
+    return ByteChannel::Config::lossy(hop.loss, hop.delay_lo, hop.delay_hi, hop.corrupt_p);
+}
+
+net::NetConfig endpoint_config(const PathConfig& cfg, SimTime path_lifetime) {
+    net::NetConfig endpoint;
+    endpoint.w = cfg.w;
+    endpoint.link_lifetime = path_lifetime;
+    endpoint.ack_policy = cfg.ack_policy;
+    endpoint.enable_nak = cfg.enable_nak;
+    return endpoint;
 }
 
 SimTime path_lifetime(const PathConfig& cfg) {
@@ -28,60 +31,54 @@ SimTime path_lifetime(const PathConfig& cfg) {
 
 }  // namespace
 
+HopChannels::HopChannels(sim::Simulator& sim, const HopSpec& spec, std::uint64_t seed,
+                         std::uint64_t stream, const std::string& prefix, std::size_t index)
+    : forward_rng(mix_seed(seed, stream)),
+      reverse_rng(mix_seed(seed, stream + 1)),
+      forward(sim, forward_rng, hop_channel(spec), prefix + "f" + std::to_string(index)),
+      reverse(sim, reverse_rng, hop_channel(spec), prefix + "r" + std::to_string(index)) {}
+
 // -------------------------------------------------------------- EndToEndPath
 
 EndToEndPath::EndToEndPath(sim::Simulator& sim, PathConfig config) {
     BACP_ASSERT_MSG(!config.hops.empty(), "a path needs at least one hop");
     const std::size_t k = config.hops.size();
     for (std::size_t i = 0; i < k; ++i) {
-        rngs_.push_back(std::make_unique<Rng>(mix_seed(config.seed, 2 * i)));
-        forward_.push_back(std::make_unique<ByteChannel>(sim, *rngs_.back(),
-                                                         hop_channel(config.hops[i]),
-                                                         "f" + std::to_string(i)));
-        rngs_.push_back(std::make_unique<Rng>(mix_seed(config.seed, 2 * i + 1)));
-        reverse_.push_back(std::make_unique<ByteChannel>(sim, *rngs_.back(),
-                                                         hop_channel(config.hops[i]),
-                                                         "r" + std::to_string(i)));
+        hops_.push_back(
+            std::make_unique<HopChannels>(sim, config.hops[i], config.seed, 2 * i, "", i));
     }
 
-    EndpointConfig endpoint;
-    endpoint.w = config.w;
-    endpoint.path_lifetime = path_lifetime(config);
-    endpoint.ack_policy = config.ack_policy;
-    endpoint.enable_nak = config.enable_nak;
-
-    tx_ = std::make_unique<LinkSender>(sim, *forward_.front(), endpoint);
-    rx_ = std::make_unique<LinkReceiver>(sim, *reverse_.back(), endpoint);
+    link_ = std::make_unique<SimLink>(sim, hops_.front()->forward, hops_.back()->reverse,
+                                      endpoint_config(config, path_lifetime(config)));
 
     // Forward chain: hop i delivers into a relay feeding hop i+1; the last
     // hop delivers to the receiver.
     for (std::size_t i = 0; i + 1 < k; ++i) {
-        relays_.push_back(std::make_unique<FrameRelay>(sim, *forward_[i + 1],
+        relays_.push_back(std::make_unique<FrameRelay>(sim, hops_[i + 1]->forward,
                                                        config.relay_delay));
         FrameRelay* relay = relays_.back().get();
-        forward_[i]->set_receiver(
+        hops_[i]->forward.set_receiver(
             [relay](const ByteChannel::Frame& frame) { relay->on_frame(frame); });
     }
-    forward_.back()->set_receiver(
-        [this](const ByteChannel::Frame& frame) { rx_->on_frame(frame); });
+    hops_.back()->forward.set_receiver(
+        [this](const ByteChannel::Frame& frame) { link_->receiver().handle_datagram(frame); });
 
     // Reverse chain: hop i+1's reverse channel relays into hop i's; hop 0
     // delivers to the sender.
     for (std::size_t i = k; i-- > 1;) {
-        relays_.push_back(std::make_unique<FrameRelay>(sim, *reverse_[i - 1],
+        relays_.push_back(std::make_unique<FrameRelay>(sim, hops_[i - 1]->reverse,
                                                        config.relay_delay));
         FrameRelay* relay = relays_.back().get();
-        reverse_[i]->set_receiver(
+        hops_[i]->reverse.set_receiver(
             [relay](const ByteChannel::Frame& frame) { relay->on_frame(frame); });
     }
-    reverse_.front()->set_receiver(
-        [this](const ByteChannel::Frame& frame) { tx_->on_frame(frame); });
+    hops_.front()->reverse.set_receiver(
+        [this](const ByteChannel::Frame& frame) { link_->sender().handle_datagram(frame); });
 }
 
 std::uint64_t EndToEndPath::total_frames() const {
     std::uint64_t total = 0;
-    for (const auto& ch : forward_) total += ch->stats().sent;
-    for (const auto& ch : reverse_) total += ch->stats().sent;
+    for (const auto& hop : hops_) total += hop->frames();
     return total;
 }
 
@@ -93,36 +90,26 @@ HopByHopPath::HopByHopPath(sim::Simulator& sim, PathConfig config) {
     hops_.resize(k);
     for (std::size_t i = 0; i < k; ++i) {
         Hop& hop = hops_[i];
-        hop.fwd_rng = std::make_unique<Rng>(mix_seed(config.seed, 100 + 2 * i));
-        hop.rev_rng = std::make_unique<Rng>(mix_seed(config.seed, 101 + 2 * i));
-        hop.forward = std::make_unique<ByteChannel>(sim, *hop.fwd_rng,
-                                                    hop_channel(config.hops[i]),
-                                                    "hf" + std::to_string(i));
-        hop.reverse = std::make_unique<ByteChannel>(sim, *hop.rev_rng,
-                                                    hop_channel(config.hops[i]),
-                                                    "hr" + std::to_string(i));
-        EndpointConfig endpoint;
-        endpoint.w = config.w;
-        endpoint.path_lifetime = config.hops[i].delay_hi;
-        endpoint.ack_policy = config.ack_policy;
-        endpoint.enable_nak = config.enable_nak;
-        hop.tx = std::make_unique<LinkSender>(sim, *hop.forward, endpoint);
-        hop.rx = std::make_unique<LinkReceiver>(sim, *hop.reverse, endpoint);
-        hop.forward->set_receiver(
-            [rx = hop.rx.get()](const ByteChannel::Frame& frame) { rx->on_frame(frame); });
-        hop.reverse->set_receiver(
-            [tx = hop.tx.get()](const ByteChannel::Frame& frame) { tx->on_frame(frame); });
+        hop.channels = std::make_unique<HopChannels>(sim, config.hops[i], config.seed,
+                                                     100 + 2 * i, "h", i);
+        hop.link = std::make_unique<SimLink>(sim, hop.channels->forward, hop.channels->reverse,
+                                             endpoint_config(config, config.hops[i].delay_hi));
+        SimLink* link = hop.link.get();
+        hop.channels->forward.set_receiver(
+            [link](const ByteChannel::Frame& frame) { link->receiver().handle_datagram(frame); });
+        hop.channels->reverse.set_receiver(
+            [link](const ByteChannel::Frame& frame) { link->sender().handle_datagram(frame); });
     }
     // Intermediate nodes re-originate each delivered payload on the next
     // hop (store-and-forward with per-hop reliability); the final hop
     // delivers to the application.
     for (std::size_t i = 0; i + 1 < k; ++i) {
-        LinkSender* next = hops_[i + 1].tx.get();
-        hops_[i].rx->set_on_deliver([next](std::span<const std::uint8_t> payload) {
+        SimLink* next = hops_[i + 1].link.get();
+        hops_[i].link->set_on_deliver([next](std::span<const std::uint8_t> payload) {
             next->send(std::vector<std::uint8_t>(payload.begin(), payload.end()));
         });
     }
-    hops_.back().rx->set_on_deliver([this](std::span<const std::uint8_t> payload) {
+    hops_.back().link->set_on_deliver([this](std::span<const std::uint8_t> payload) {
         ++delivered_;
         if (on_deliver_) on_deliver_(payload);
     });
@@ -131,20 +118,20 @@ HopByHopPath::HopByHopPath(sim::Simulator& sim, PathConfig config) {
 bool HopByHopPath::idle() const {
     if (delivered_ != accepted_) return false;
     for (const auto& hop : hops_) {
-        if (!hop.tx->idle()) return false;
+        if (!hop.link->idle()) return false;
     }
     return true;
 }
 
 std::uint64_t HopByHopPath::total_frames() const {
     std::uint64_t total = 0;
-    for (const auto& hop : hops_) total += hop.forward->stats().sent + hop.reverse->stats().sent;
+    for (const auto& hop : hops_) total += hop.channels->frames();
     return total;
 }
 
 std::uint64_t HopByHopPath::total_retransmissions() const {
     std::uint64_t total = 0;
-    for (const auto& hop : hops_) total += hop.tx->retransmissions();
+    for (const auto& hop : hops_) total += hop.link->retransmissions();
     return total;
 }
 

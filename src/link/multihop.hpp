@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file multihop.hpp
-/// Multi-hop reliability topologies built from link endpoints.
+/// Multi-hop reliability topologies built from SimLinks and frame relays.
 ///
 /// Two classic architectures over the same chain of lossy hops:
 ///
@@ -21,15 +21,44 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "link/byte_channel.hpp"
-#include "link/link_endpoints.hpp"
+#include "link/sim_link.hpp"
 #include "sim/simulator.hpp"
 
 namespace bacp::link {
+
+/// Store-and-forward frame relay: accepts frames from an upstream channel
+/// and re-emits them downstream after a processing delay.  Relays are
+/// oblivious to frame contents (they forward corrupted frames too -- CRC
+/// is end-to-end).
+class FrameRelay {
+public:
+    FrameRelay(sim::Simulator& sim, ByteChannel& downstream,
+               SimTime processing_delay = 50 * kMicrosecond)
+        : sim_(sim), downstream_(downstream), processing_delay_(processing_delay) {}
+
+    void on_frame(const ByteChannel::Frame& frame) {
+        ++forwarded_;
+        // Init-capture: a plain copy-capture of the const ref would give
+        // the closure a const member, making its move a throwing copy.
+        sim_.schedule_after(processing_delay_, [this, frame = frame]() mutable {
+            downstream_.send(std::move(frame));
+        });
+    }
+
+    std::uint64_t forwarded() const { return forwarded_; }
+
+private:
+    sim::Simulator& sim_;
+    ByteChannel& downstream_;
+    SimTime processing_delay_;
+    std::uint64_t forwarded_ = 0;
+};
 
 /// One physical hop of the chain.
 struct HopSpec {
@@ -37,6 +66,22 @@ struct HopSpec {
     double corrupt_p = 0.0;
     SimTime delay_lo = 1 * kMillisecond;
     SimTime delay_hi = 2 * kMillisecond;
+};
+
+/// Both directions of one physical hop, each drawing loss and delay from
+/// its own RNG stream (mix_seed(seed, stream) and stream + 1).
+struct HopChannels {
+    /// The channels are named prefix + "f" / "r" + index.
+    HopChannels(sim::Simulator& sim, const HopSpec& spec, std::uint64_t seed,
+                std::uint64_t stream, const std::string& prefix, std::size_t index);
+
+    /// Frames placed on either direction.
+    std::uint64_t frames() const { return forward.stats().sent + reverse.stats().sent; }
+
+    Rng forward_rng;
+    Rng reverse_rng;
+    ByteChannel forward;  // upstream node -> downstream node
+    ByteChannel reverse;  // downstream node -> upstream node
 };
 
 struct PathConfig {
@@ -51,7 +96,7 @@ struct PathConfig {
 /// Common surface of the two architectures.
 class MultihopPath {
 public:
-    using DeliverFn = LinkReceiver::DeliverFn;
+    using DeliverFn = SimLink::DeliverFn;
 
     virtual ~MultihopPath() = default;
     virtual void send(std::vector<std::uint8_t> payload) = 0;
@@ -68,20 +113,17 @@ class EndToEndPath final : public MultihopPath {
 public:
     EndToEndPath(sim::Simulator& sim, PathConfig config);
 
-    void send(std::vector<std::uint8_t> payload) override { tx_->send(std::move(payload)); }
-    void set_on_deliver(DeliverFn fn) override { rx_->set_on_deliver(std::move(fn)); }
-    Seq delivered_count() const override { return rx_->delivered_count(); }
-    bool idle() const override { return tx_->idle(); }
+    void send(std::vector<std::uint8_t> payload) override { link_->send(std::move(payload)); }
+    void set_on_deliver(DeliverFn fn) override { link_->set_on_deliver(std::move(fn)); }
+    Seq delivered_count() const override { return link_->delivered_count(); }
+    bool idle() const override { return link_->idle(); }
     std::uint64_t total_frames() const override;
-    std::uint64_t total_retransmissions() const override { return tx_->retransmissions(); }
+    std::uint64_t total_retransmissions() const override { return link_->retransmissions(); }
 
 private:
-    std::vector<std::unique_ptr<Rng>> rngs_;
-    std::vector<std::unique_ptr<ByteChannel>> forward_;  // hop i: node i -> i+1
-    std::vector<std::unique_ptr<ByteChannel>> reverse_;  // hop i: node i+1 -> i
-    std::vector<std::unique_ptr<FrameRelay>> relays_;    // keep-alive storage
-    std::unique_ptr<LinkSender> tx_;
-    std::unique_ptr<LinkReceiver> rx_;
+    std::vector<std::unique_ptr<HopChannels>> hops_;   // hop i: node i <-> i+1
+    std::vector<std::unique_ptr<FrameRelay>> relays_;  // keep-alive storage
+    std::unique_ptr<SimLink> link_;  // sender at node 0, receiver at node k
 };
 
 class HopByHopPath final : public MultihopPath {
@@ -90,7 +132,7 @@ public:
 
     void send(std::vector<std::uint8_t> payload) override {
         ++accepted_;
-        hops_.front().tx->send(std::move(payload));
+        hops_.front().link->send(std::move(payload));
     }
     void set_on_deliver(DeliverFn fn) override { on_deliver_ = std::move(fn); }
     Seq delivered_count() const override { return delivered_; }
@@ -100,12 +142,8 @@ public:
 
 private:
     struct Hop {
-        std::unique_ptr<Rng> fwd_rng;
-        std::unique_ptr<Rng> rev_rng;
-        std::unique_ptr<ByteChannel> forward;
-        std::unique_ptr<ByteChannel> reverse;
-        std::unique_ptr<LinkSender> tx;   // at the hop's upstream node
-        std::unique_ptr<LinkReceiver> rx; // at the hop's downstream node
+        std::unique_ptr<HopChannels> channels;
+        std::unique_ptr<SimLink> link;  // sender upstream, receiver downstream
     };
 
     std::vector<Hop> hops_;

@@ -3,18 +3,19 @@
 /// \file net_link.hpp
 /// The link layer over the net runtime: ReliableLink's byte-payload API
 /// (send() arbitrary payloads, in-order exactly-once delivery callbacks)
-/// driven by a net::NetEndpoint -- runtime::DuplexDriver over a real
-/// Transport and TimerWheel -- instead of the DES simulator and its
-/// ByteChannels.  Same bounded cores as link::ReliableLink (residues mod
-/// 2w on the wire), same failure model (CRC turns corruption into loss),
-/// but the event loop is poll()-driven and both directions share one
-/// socket: a NetReliableLink is duplex, and with piggyback on its acks
+/// driven by the same net::NetEndpoint the DES link (link::SimLink)
+/// runs, on its real-network port -- a Transport and TimerWheel instead
+/// of the simulator and its ByteChannels.  Same bounded core (residues
+/// mod 2w on the wire), same failure model (CRC turns corruption into
+/// loss), but the event loop is poll()-driven and both directions share
+/// one socket: a NetReliableLink is duplex, and with piggyback on its acks
 /// ride the reverse DATA as wire type 4 frames.
 ///
 /// Payload flow uses the endpoint's source/sink hooks.  Sends are
-/// application-gated (EngineConfig::app_arrivals): send() stores the
-/// bytes, then releases one message into the window, so the payload
-/// source can always serve a retransmission of any outstanding seq.
+/// application-gated (EngineConfig::app_arrivals) through the shared
+/// PayloadStore: send() stores the bytes, then releases one message into
+/// the window, so the payload source can always serve a retransmission
+/// of any outstanding seq -- and acknowledged payloads are dropped.
 ///
 /// NetStreamMux runs several NetReliableLinks over ONE shared transport,
 /// each tagged with a wire stream id (kFlagStream), and demuxes inbound
@@ -31,11 +32,9 @@
 #include <utility>
 #include <vector>
 
-#include "ba/bounded_receiver.hpp"
-#include "ba/bounded_sender.hpp"
-#include "ba/engine_core.hpp"
 #include "common/assert.hpp"
 #include "common/types.hpp"
+#include "link/link_core.hpp"
 #include "net/net_engine.hpp"
 #include "net/timer_wheel.hpp"
 #include "net/transport.hpp"
@@ -44,9 +43,7 @@
 
 namespace bacp::link {
 
-/// The fully bounded protocol, as link::ReliableLink runs it.
-using NetLinkCore = ba::EngineCore<ba::BoundedSender, ba::BoundedReceiver>;
-using NetLinkEndpoint = net::NetEndpoint<NetLinkCore>;
+using NetLinkEndpoint = net::NetEndpoint<LinkCore>;
 
 /// One duplex reliable byte link over a real transport.  Wire a pair of
 /// these over the two ends of a transport pair (InprocTransport for
@@ -78,11 +75,7 @@ public:
     /// wheel, so a link (or its owning mux) is single-threaded.
     NetReliableLink(const Config& cfg, net::TimerWheel& wheel, net::Transport& transport)
         : cfg_(cfg), endpoint_(net_config(cfg), {}, wheel, transport) {
-        sent_.reserve(cfg.count);
-        endpoint_.set_payload_source([this](Seq seq, std::vector<std::uint8_t>& out) {
-            BACP_ASSERT_MSG(seq < sent_.size(), "payload requested before queued");
-            out.assign(sent_[seq].begin(), sent_[seq].end());
-        });
+        store_.bind(endpoint_);
         endpoint_.set_deliver_sink([this](Seq, std::span<const std::uint8_t> payload) {
             ++delivered_;
             if (on_deliver_) on_deliver_(payload);
@@ -101,10 +94,9 @@ public:
     /// Queues one payload for reliable, in-order transmission and pumps
     /// the window (frames may egress from inside this call).
     void send(std::vector<std::uint8_t> payload) {
-        BACP_ASSERT_MSG(sent_.size() < cfg_.count, "more sends than Config.count");
+        BACP_ASSERT_MSG(store_.stored() < cfg_.count, "more sends than Config.count");
         BACP_ASSERT_MSG(payload.size() <= cfg_.max_payload, "payload exceeds max_payload");
-        sent_.push_back(std::move(payload));
-        endpoint_.release(1);
+        store_.send(endpoint_, std::move(payload));
     }
 
     /// One event-loop iteration (timers, ingress, egress flush).
@@ -114,8 +106,11 @@ public:
     /// arrival delivered.
     bool done() const { return endpoint_.done(); }
 
-    Seq sent_count() const { return static_cast<Seq>(sent_.size()); }
+    Seq sent_count() const { return store_.stored(); }
     Seq delivered_count() const { return delivered_; }
+    /// Payloads held for retransmission or still queued: at most the
+    /// window plus the queue, however many were sent.
+    std::size_t payloads_held() const { return store_.held(); }
 
     NetLinkEndpoint& endpoint() { return endpoint_; }
     const NetLinkEndpoint& endpoint() const { return endpoint_; }
@@ -141,7 +136,7 @@ private:
 
     Config cfg_;
     NetLinkEndpoint endpoint_;
-    std::vector<std::vector<std::uint8_t>> sent_;  // random access for retx
+    PayloadStore store_;
     Seq delivered_ = 0;
     DeliverFn on_deliver_;
 };

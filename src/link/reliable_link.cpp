@@ -1,271 +1,40 @@
 #include "link/reliable_link.hpp"
 
-#include "common/assert.hpp"
-#include "protocol/seqnum.hpp"
-#include "runtime/ack_clip.hpp"
-#include "wire/codec.hpp"
+#include "runtime/session_util.hpp"
 
 namespace bacp::link {
 
 namespace {
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-    std::uint64_t s = seed ^ (salt * 0x9e3779b97f4a7c15ULL);
-    return splitmix64(s);
+
+net::NetConfig endpoint_config(const ReliableLink::Config& cfg) {
+    net::NetConfig endpoint;
+    endpoint.w = cfg.w;
+    endpoint.link_lifetime = cfg.delay_hi;
+    endpoint.timeout = cfg.timeout;
+    endpoint.ack_policy = cfg.ack_policy;
+    endpoint.enable_nak = cfg.enable_nak;
+    endpoint.nak_threshold = cfg.nak_threshold;
+    return endpoint;
 }
+
 }  // namespace
 
-ByteChannel::Config ReliableLink::channel_config() {
-    ByteChannel::Config config;
-    if (cfg_.loss > 0.0) config.loss = std::make_unique<channel::BernoulliLoss>(cfg_.loss);
-    config.delay = std::make_unique<channel::UniformDelay>(cfg_.delay_lo, cfg_.delay_hi);
-    config.corrupt_p = cfg_.corrupt_p;
-    return config;
-}
-
-ReliableLink::ReliableLink(sim::Simulator& sim, Config config)
-    : cfg_(std::move(config)),
-      sim_(sim),
-      rng_data_(mix_seed(cfg_.seed, 0xd1)),
-      rng_ack_(mix_seed(cfg_.seed, 0xac)),
-      sender_(cfg_.w),
-      receiver_(cfg_.w),
-      data_ch_(sim, rng_data_, channel_config(), "data"),
-      ack_ch_(sim, rng_ack_, channel_config(), "ack"),
-      ack_flush_timer_(sim, [this] { flush_ack(); }),
-      horizon_timer_(sim, [this] { pump(); }) {
-    timeout_ = cfg_.timeout > 0 ? cfg_.timeout
-                                : 2 * cfg_.delay_hi + cfg_.ack_policy.max_ack_delay() +
-                                      kMillisecond;
-    data_ch_.set_receiver([this](const ByteChannel::Frame& f) { on_data_frame(f); });
-    ack_ch_.set_receiver([this](const ByteChannel::Frame& f) { on_ack_frame(f); });
-}
-
-void ReliableLink::send(std::vector<std::uint8_t> payload) {
-    queue_.push_back(std::move(payload));
-    pump();
-}
-
-bool ReliableLink::horizon_blocks() {
-    if (cfg_.unsafe_disable_horizon) return false;  // negative control
-    if (horizon_until_ <= sim_.now()) {
-        horizon_cap_ = kNoCap;  // expired
-        return false;
-    }
-    return ghost_ns_ >= horizon_cap_;
-}
-
-void ReliableLink::pump() {
-    while (!queue_.empty() && sender_.can_send_new()) {
-        if (horizon_blocks()) {
-            if (!horizon_timer_.armed()) horizon_timer_.restart(horizon_until_ - sim_.now());
-            return;
-        }
-        const proto::Data msg = sender_.send_new();
-        (void)msg;  // residue == ghost_ns_ mod 2w by construction
-        const Seq true_seq = ghost_ns_++;
-        window_payloads_.emplace(true_seq, std::move(queue_.front()));
-        queue_.pop_front();
-        transmit(true_seq, /*retx=*/false);
-    }
-}
-
-void ReliableLink::note_horizon(Seq true_seq) {
-    // Send-horizon rule (see runtime/ba_session.hpp): an acked message
-    // whose last copy may still be in transit caps ns at i + w until the
-    // copy has aged out, keeping every late arrival inside the bounded
-    // receiver's residue-reconstruction window.
-    const auto it = last_tx_.find(true_seq);
-    if (it == last_tx_.end()) return;
-    const SimTime copy_gone = it->second + cfg_.delay_hi;
-    if (copy_gone <= sim_.now()) return;
-    horizon_until_ = std::max(horizon_until_, copy_gone);
-    horizon_cap_ = std::min(horizon_cap_, true_seq + cfg_.w);
-}
-
-void ReliableLink::transmit(Seq true_seq, bool retx) {
-    if (retx) ++retransmissions_;
-    const auto payload = window_payloads_.find(true_seq);
-    BACP_ASSERT_MSG(payload != window_payloads_.end(), "transmit without stored payload");
-    const Seq residue = true_seq % sender_.domain();
-    data_ch_.send(wire::encode_data(residue,
-                                    std::span<const std::uint8_t>(payload->second.data(),
-                                                                  payload->second.size()),
-                                    wire::kFlagBoundedSeq));
-    last_tx_[true_seq] = sim_.now();
-    sim_.schedule_after(timeout_, [this, true_seq] { per_message_fire(true_seq); });
-}
-
-void ReliableLink::per_message_fire(Seq true_seq) {
-    if (true_seq < ghost_na_) {
-        // Fully acknowledged; release bookkeeping.
-        last_tx_.erase(true_seq);
-        return;
-    }
-    const auto it = last_tx_.find(true_seq);
-    if (it == last_tx_.end()) return;
-    if (sim_.now() - it->second < timeout_) return;  // a newer copy owns the timer
-    const Seq residue = true_seq % sender_.domain();
-    if (!sender_.can_resend(residue)) return;  // acked out of order (hole)
-    // Hole-gated resend discipline (see runtime/ba_session.hpp): only the
-    // lowest unacked message or one with ack-hole evidence above it may be
-    // resent -- the property that keeps every in-transit copy inside the
-    // bounded receiver's residue-reconstruction window.
-    if (!cfg_.unsafe_ungated_resend && true_seq != ghost_na_ &&
-        !sender_.acked_beyond(residue)) {
-        return;
-    }
-    transmit(true_seq, /*retx=*/true);
-}
-
-void ReliableLink::rescan_matured() {
-    for (const Seq residue : sender_.resend_candidates()) {
-        const Seq true_seq =
-            ghost_na_ + proto::mod_offset(sender_.na_mod(), residue, sender_.domain());
-        const auto it = last_tx_.find(true_seq);
-        if (it == last_tx_.end() || sim_.now() - it->second < timeout_) continue;
-        if (true_seq != ghost_na_ && !sender_.acked_beyond(residue)) continue;
-        transmit(true_seq, /*retx=*/true);
-    }
-}
-
-void ReliableLink::on_data_frame(const ByteChannel::Frame& frame) {
-    const auto decoded = wire::decode(std::span<const std::uint8_t>(frame.data(), frame.size()));
-    if (!decoded.ok()) {
-        ++frames_rejected_;  // corruption becomes loss; the protocol recovers
-        return;
-    }
-    const auto* data = std::get_if<wire::DataFrame>(&decoded.frame());
-    if (data == nullptr) {
-        ++frames_rejected_;  // an ack on the data channel: malformed peer
-        return;
-    }
-    const Seq n = receiver_.domain();
-    const Seq w = receiver_.window();
-    const Seq residue = data->seq;
-    if (residue >= n) {
-        ++frames_rejected_;
-        return;
-    }
-    // Reconstruct the true sequence number (anchored offset, SV).
-    const Seq base = proto::mod_sub(receiver_.nr_mod(), w, n);
-    const Seq offset = proto::mod_offset(base, residue, n);
-    const auto dup = receiver_.on_data(proto::Data{residue});
-    if (dup) {
-        send_ack_frame(dup->lo, dup->hi);
-        return;
-    }
-    const Seq true_seq = ghost_nr_ + (offset - w);
-    if (true_seq >= ghost_vr_) {
-        reorder_buffer_[true_seq] = data->payload;  // idempotent on duplicates
-    }
-    // Deliver the contiguous run.
-    bool advanced = false;
-    while (receiver_.can_advance()) {
-        advanced = true;
-        receiver_.advance();
-        const Seq seq = ghost_vr_++;
-        const auto buffered = reorder_buffer_.find(seq);
-        BACP_ASSERT_MSG(buffered != reorder_buffer_.end(), "delivering unbuffered payload");
-        ++delivered_;
-        if (on_deliver_) {
-            on_deliver_(std::span<const std::uint8_t>(buffered->second.data(),
-                                                      buffered->second.size()));
-        }
-        reorder_buffer_.erase(buffered);
-    }
-    if (advanced) {
-        ooo_since_advance_ = 0;
-    } else {
-        ++ooo_since_advance_;
-        maybe_send_nak();
-    }
-    // Block-ack scheduling.
-    const Seq pending = receiver_.pending();
-    if (pending >= cfg_.ack_policy.threshold) {
-        flush_ack();
-    } else if (pending > 0 && !ack_flush_timer_.armed()) {
-        ack_flush_timer_.restart(cfg_.ack_policy.flush_delay);
-    }
-}
-
-void ReliableLink::maybe_send_nak() {
-    if (!cfg_.enable_nak || ooo_since_advance_ < cfg_.nak_threshold) return;
-    const Seq missing = receiver_.vr_mod();
-    // One NAK per blocked position per NAK round trip.
-    if (last_nak_field_ == missing && sim_.now() - last_nak_time_ < 2 * cfg_.delay_hi) return;
-    last_nak_field_ = missing;
-    last_nak_time_ = sim_.now();
-    ++naks_sent_;
-    ack_ch_.send(wire::encode_nak(missing, wire::kFlagBoundedSeq));
-}
-
-void ReliableLink::on_nak(Seq residue) {
-    if (residue >= sender_.domain()) return;  // malformed
-    const Seq off = proto::mod_offset(sender_.na_mod(), residue, sender_.domain());
-    if (off >= sender_.outstanding()) return;  // stale
-    const Seq true_seq = ghost_na_ + off;
-    if (!sender_.can_resend(residue)) return;
-    const auto it = last_tx_.find(true_seq);
-    if (it == last_tx_.end()) return;
-    if (sim_.now() - it->second < cfg_.delay_hi) return;  // previous copy may live
-    ++fast_retx_;
-    transmit(true_seq, /*retx=*/true);
-}
-
-void ReliableLink::flush_ack() {
-    ack_flush_timer_.cancel();
-    const Seq pending = receiver_.pending();
-    if (pending == 0) return;
-    const proto::Ack ack = receiver_.make_ack();
-    ghost_nr_ += pending;
-    send_ack_frame(ack.lo, ack.hi);
-}
-
-void ReliableLink::send_ack_frame(Seq lo, Seq hi) {
-    // The block (lo, hi) is a residue pair; lo > hi is legal on the wire
-    // only as two residues of a wrapped range, which encode_ack rejects.
-    // Encode the pair as-is when ordered, or split at the wrap point.
-    if (lo <= hi) {
-        ack_ch_.send(wire::encode_ack(lo, hi, wire::kFlagBoundedSeq));
-        return;
-    }
-    const Seq n = receiver_.domain();
-    ack_ch_.send(wire::encode_ack(lo, n - 1, wire::kFlagBoundedSeq));
-    ack_ch_.send(wire::encode_ack(0, hi, wire::kFlagBoundedSeq));
-}
-
-void ReliableLink::on_ack_frame(const ByteChannel::Frame& frame) {
-    const auto decoded = wire::decode(std::span<const std::uint8_t>(frame.data(), frame.size()));
-    if (!decoded.ok()) {
-        ++frames_rejected_;
-        return;
-    }
-    if (const auto* nak = std::get_if<wire::NakFrame>(&decoded.frame())) {
-        on_nak(nak->seq);
-        return;
-    }
-    const auto* ack = std::get_if<wire::AckFrame>(&decoded.frame());
-    if (ack == nullptr || ack->lo >= sender_.domain() || ack->hi >= sender_.domain()) {
-        ++frames_rejected_;
-        return;
-    }
-    // Clip to unacknowledged runs: per-message timers may have elicited
-    // overlapping duplicate acknowledgments (see runtime/ack_clip.hpp).
-    for (const auto& run : runtime::clip_ack_bounded(sender_, proto::Ack{ack->lo, ack->hi})) {
-        const Seq before = sender_.na_mod();
-        const Seq lo_true = ghost_na_ + proto::mod_offset(before, run.lo, sender_.domain());
-        const Seq hi_true = ghost_na_ + proto::mod_offset(before, run.hi, sender_.domain());
-        for (Seq t = lo_true; t <= hi_true; ++t) note_horizon(t);
-        sender_.on_ack(run);
-        const Seq advanced = proto::mod_offset(before, sender_.na_mod(), sender_.domain());
-        for (Seq i = 0; i < advanced; ++i) {
-            window_payloads_.erase(ghost_na_ + i);
-            last_tx_.erase(ghost_na_ + i);
-        }
-        ghost_na_ += advanced;
-    }
-    pump();
-    rescan_matured();
+ReliableLink::ReliableLink(sim::Simulator& sim, Config config, LinkCore::Options options)
+    : rng_data_(runtime::mix_seed(config.seed, 0xd1)),
+      rng_ack_(runtime::mix_seed(config.seed, 0xac)),
+      data_ch_(sim, rng_data_,
+               ByteChannel::Config::lossy(config.loss, config.delay_lo, config.delay_hi,
+                                          config.corrupt_p),
+               "data"),
+      ack_ch_(sim, rng_ack_,
+              ByteChannel::Config::lossy(config.loss, config.delay_lo, config.delay_hi,
+                                         config.corrupt_p),
+              "ack"),
+      link_(sim, data_ch_, ack_ch_, endpoint_config(config), options) {
+    data_ch_.set_receiver(
+        [this](const ByteChannel::Frame& f) { link_.receiver().handle_datagram(f); });
+    ack_ch_.set_receiver(
+        [this](const ByteChannel::Frame& f) { link_.sender().handle_datagram(f); });
 }
 
 }  // namespace bacp::link

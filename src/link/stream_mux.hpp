@@ -3,10 +3,10 @@
 /// \file stream_mux.hpp
 /// Several independent reliable streams over one channel pair.
 ///
-/// Each stream runs its own bounded block-acknowledgment instance
-/// (LinkSender/LinkReceiver tagged with a wire stream id); the mux owns
-/// the shared data/ack ByteChannels -- optionally a common bottleneck --
-/// and dispatches inbound frames by stream id.
+/// Each stream runs its own bounded block-acknowledgment instance (a
+/// SimLink whose frames carry a wire stream id); the mux owns the shared
+/// data/ack ByteChannels -- optionally a common bottleneck -- and
+/// dispatches inbound frames by stream id.
 ///
 /// The point (bench_e15_streams): per-stream sequencing confines a loss
 /// to the stream that suffered it.  Interleaving the same flows over ONE
@@ -22,7 +22,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "link/byte_channel.hpp"
-#include "link/link_endpoints.hpp"
+#include "link/sim_link.hpp"
 #include "runtime/ack_policy.hpp"
 #include "sim/simulator.hpp"
 
@@ -65,21 +65,17 @@ public:
     const ByteChannelStats& ack_stats() const { return ack_ch_.stats(); }
 
 private:
-    ByteChannel::Config data_config() const;
-    ByteChannel::Config ack_config() const;
-    void on_data_frame(const ByteChannel::Frame& frame);
-    void on_ack_frame(const ByteChannel::Frame& frame);
-    /// Stream id of a valid frame, or kUntaggedStream when undecodable /
-    /// untagged / out of range.
-    Seq classify(const ByteChannel::Frame& frame) const;
+    /// Hands a frame from the data path to its stream's receiving end
+    /// (\p data) or one from the ack path to its sending end; frames that
+    /// are undecodable, untagged or for no stream count as misdirected.
+    void route(const ByteChannel::Frame& frame, bool data);
 
     Config cfg_;
     Rng rng_data_;
     Rng rng_ack_;
     ByteChannel data_ch_;
     ByteChannel ack_ch_;
-    std::vector<std::unique_ptr<LinkSender>> tx_;
-    std::vector<std::unique_ptr<LinkReceiver>> rx_;
+    std::vector<std::unique_ptr<SimLink>> links_;
     DeliverFn on_deliver_;
     std::uint64_t misdirected_ = 0;
 };

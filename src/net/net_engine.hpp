@@ -10,11 +10,15 @@
 /// SimChannels, a real network has one endpoint per socket end -- and a
 /// real endpoint is *duplex*.  NetEndpoint embeds a DuplexDriver (a
 /// sending-half and a receiving-half EndpointDriver sharing this
-/// environment's clock, TimerWheel, and egress batch), supplies the
-/// wheel as the drivers' TimerService, and exchanges frames serialized
-/// through wire::codec.  The classic one-way shapes are trivial
-/// configurations of it: count > 0, rx_count == 0 is the old pure
-/// sender; count == 0, rx_count > 0 the old pure receiver.  With
+/// environment's clock, timers, and egress) and exchanges frames
+/// serialized through wire::codec.  Time, timers and egress come from a
+/// *port*: NetPort (TimerWheel + Transport + SendBatch) for the real
+/// network, link::SimPort (Simulator + ByteChannel) for the
+/// discrete-event link layer -- so the DES link and the real network
+/// run one frame-handling path as well as one driver.  The classic
+/// one-way shapes are trivial configurations of it: count > 0,
+/// rx_count == 0 is the old pure sender; count == 0, rx_count > 0 the
+/// old pure receiver.  With
 /// `piggyback` on, the duplex layer defers acks so reverse DATA carries
 /// them as DATA+ACK frames (wire type 4); off, every ack egresses
 /// immediately and the one-way decision streams are byte-identical to
@@ -29,7 +33,7 @@
 /// to the loss tolerance the protocol already has -- exactly the channel
 /// model the paper's proof assumes.
 ///
-/// This environment advertises kHasOracle = false: real time cannot
+/// This environment advertises kHasOracle = false: one endpoint cannot
 /// prove quiescence, so the driver approximates the oracle timeout modes
 /// with its quiescence timer (a full conservative timeout of silence)
 /// instead of the DES's provable idle point.
@@ -193,15 +197,120 @@ inline std::vector<std::uint8_t> pattern_payload(Seq seq, std::size_t size) {
     return payload;
 }
 
-/// One duplex transport endpoint: the environment for a DuplexDriver
-/// over a real transport.  poll() is the event-loop body -- fire due
-/// timers, drain arriving datagrams, flush staged frames -- and must be
-/// called from one thread only.
+/// The real-network port of a NetEndpoint: a TimerWheel for the drivers'
+/// timers, a Transport below, and the tick's SendBatch.  Egress is staged
+/// onto the batch and flushed once per poll() (or per frame, when the
+/// configuration asks for unbatched sends); poll() is the event-loop
+/// body and must be called from one thread only.
+class NetPort {
+public:
+    /// \p wheel is the endpoint's (and, when impaired, its Impairer's)
+    /// timer wheel; poll() fires it, so both must live on one thread.
+    NetPort(const NetConfig& cfg, TimerWheel& wheel, Transport& transport)
+        : wheel_(wheel),
+          transport_(&transport),
+          batch_(cfg.effective_batch()),
+          max_datagram_(cfg.max_datagram) {
+        // Worst case live timers: one per outstanding message (per-message
+        // mode) plus the simple/quiescence/pacing/ack-flush singletons of
+        // each active half and the deferral flush timer.  Reserving now
+        // means a loss burst late in a run grows nothing.
+        std::size_t timers = 4;
+        if (cfg.count > 0) timers += static_cast<std::size_t>(cfg.w) + 4;
+        if (cfg.piggyback) timers += 1;
+        wheel_.reserve(timers);
+        // One tick can stage a timeout burst of DATA, the acks provoked
+        // by a full receive arena, and the retransmissions those acks
+        // release -- all before the poll's flush; size the batch builder
+        // for that now rather than letting it creep to high water
+        // mid-run.
+        batch_cap_ = 4 * static_cast<std::size_t>(cfg.w) + 32;
+        tx_batch_.reserve(batch_cap_, batch_cap_ * (cfg.payload_size + 128));
+    }
+
+    TimerService& timer_service() { return wheel_; }
+    SimTime now() const { return wheel_.now(); }
+    TimerWheel& wheel() { return wheel_; }
+
+    /// Stages one frame, serialized by \p encode straight onto the batch
+    /// slab -- no per-frame allocation once the slab is at high water.
+    template <typename Encode>
+    void stage(Encode&& encode) {
+        tx_batch_.append_with(encode);
+    }
+
+    /// After a protocol step staged its frames: flushes when unbatched
+    /// sending is configured, or when the builder has filled its
+    /// reserved burst -- a post-stall poll can drain an arbitrary
+    /// backlog in one pass, and capping the batch here bounds the
+    /// builder to the ctor's reserve (a real sendmmsg caps a batch at
+    /// IOV_MAX the same way).
+    void staged() {
+        if (batch_ <= 1 || tx_batch_.size() >= batch_cap_) flush();
+    }
+
+    void flush() { tx_batch_.flush(*transport_); }
+
+    /// One event-loop iteration: fires due timers, pushes out matured
+    /// delayed copies, then hands every datagram currently readable --
+    /// drained a whole arena at a time -- to \p on_datagram, and finally
+    /// flushes everything the tick staged (new sends, retransmits, acks)
+    /// as one batch.  Returns how many units of work (timers +
+    /// datagrams) were processed.
+    template <typename OnDatagram>
+    std::size_t poll(OnDatagram&& on_datagram) {
+        std::size_t work = wheel_.fire_due();
+        transport_->flush();  // delayed impairer copies matured above
+        RecvBatch& rx = rx_batch();
+        for (;;) {
+            const std::size_t n = transport_->recv_batch(rx);
+            for (std::size_t i = 0; i < n; ++i) on_datagram(rx[i]);
+            work += n;
+            if (n < rx.capacity()) break;
+        }
+        flush();
+        return work;
+    }
+
+private:
+    /// The receive arena, built on first poll(): a server-driven session
+    /// never polls its own transport, so it never pays for one.
+    RecvBatch& rx_batch() {
+        if (!rx_batch_) rx_batch_ = std::make_unique<RecvBatch>(batch_, max_datagram_);
+        return *rx_batch_;
+    }
+
+    TimerWheel& wheel_;
+    Transport* transport_;
+    std::size_t batch_;         // NetConfig::effective_batch()
+    std::size_t max_datagram_;  // RecvBatch arena stride
+    std::size_t batch_cap_ = 0;  // reserved burst; see ctor
+    SendBatch tx_batch_;                     // the tick's staged frames
+    std::unique_ptr<RecvBatch> rx_batch_;    // lazy: see rx_batch()
+};
+
+/// One duplex endpoint: the environment for a DuplexDriver, over a
+/// *port* that supplies time, timers and frame egress.  Everything that
+/// does not depend on the port lives here exactly once: frame dispatch,
+/// the receive-side payload stash (and its dup-ack erase), payload
+/// staging, the wrapped-ack split, and delivery.  Two ports exist:
+///
+///   NetPort (default)  TimerWheel + Transport + SendBatch -- the real
+///                      network (Server, ClientFleet, NetReliableLink);
+///   link::SimPort      sim::Simulator + one outbound link::ByteChannel
+///                      -- the discrete-event link layer (ReliableLink,
+///                      StreamMux, the multihop paths, DuplexSession).
+///
+/// A Port supplies timer_service(), now(), stage(encode), staged() and
+/// flush(); poll() and wheel() exist only for ports that own a receive
+/// loop (NetPort).  On either port the endpoint advertises kHasOracle =
+/// false: it cannot prove its channels empty, so the driver
+/// approximates the oracle timeout modes with its quiescence timer.
 ///
 /// Payload bytes default to the verifiable pattern; set_payload_source /
 /// set_deliver_sink rebind both ends to real data (the link layer and
 /// the file-transfer example feed actual bytes through these).
-template <runtime::EndpointCore Core>
+template <runtime::EndpointCore Core, typename Port = NetPort>
 class NetEndpoint {
 public:
     using Options = typename Core::Options;
@@ -211,21 +320,13 @@ public:
     /// Consumes the bytes of one in-order delivery.
     using DeliverSink = std::function<void(Seq true_seq, std::span<const std::uint8_t> payload)>;
 
-    /// \p wheel is this endpoint's (and, when impaired, its Impairer's)
-    /// timer wheel; poll() fires it, so both must live on one thread.
-    NetEndpoint(const NetConfig& cfg, Options options, TimerWheel& wheel, Transport& transport)
+    /// \p port_args construct the port after the config: (TimerWheel&,
+    /// Transport&) for NetPort, (Simulator&, ByteChannel&) for SimPort.
+    template <typename... PortArgs>
+    NetEndpoint(const NetConfig& cfg, Options options, PortArgs&... port_args)
         : cfg_(cfg),
-          wheel_(wheel),
-          transport_(&transport),
+          port_(cfg_, port_args...),
           duplex_(cfg_.engine_config(), cfg_.duplex_spec(), std::move(options), *this) {
-        // Worst case live timers: one per outstanding message (per-message
-        // mode) plus the simple/quiescence/pacing/ack-flush singletons of
-        // each active half and the deferral flush timer.  Reserving now
-        // means a loss burst late in a run grows nothing.
-        std::size_t timers = 4;
-        if (cfg_.count > 0) timers += static_cast<std::size_t>(cfg_.w) + 4;
-        if (cfg_.piggyback) timers += 1;
-        wheel_.reserve(timers);
         // The stash holds at most a window of out-of-order payloads (+1
         // for the in-flight arrival, so a full window never triggers a
         // table grow); reserve to worst case so the first loss burst
@@ -233,14 +334,6 @@ public:
         if (cfg_.rx_count > 0) {
             stash_.reserve_buffers(static_cast<std::size_t>(cfg_.w) + 1, cfg_.payload_size);
         }
-        // One tick can stage a timeout burst of DATA, the acks provoked
-        // by a full receive arena, and the retransmissions those acks
-        // release -- all before the poll's flush; size the batch builder
-        // for that now rather than letting it creep to high water
-        // mid-run.
-        const std::size_t burst = 4 * static_cast<std::size_t>(cfg_.w) + 32;
-        tx_batch_.reserve(burst, burst * (cfg_.payload_size + 128));
-        batch_cap_ = burst;
     }
 
     NetEndpoint(const NetEndpoint&) = delete;
@@ -250,7 +343,7 @@ public:
     /// Call once before the poll loop.
     void start() {
         if (cfg_.count > 0) duplex_.start();
-        tx_batch_.flush(*transport_);
+        port_.flush();
     }
 
     /// Application-gated arrivals (EngineConfig::app_arrivals): the
@@ -258,26 +351,28 @@ public:
     /// window may pump them now.  Flushes whatever the pump staged.
     void release(Seq n) {
         duplex_.release(n);
-        tx_batch_.flush(*transport_);
+        port_.flush();
     }
 
-    /// One event-loop iteration: fires due timers, pushes out matured
-    /// delayed copies, then handles every datagram currently readable --
-    /// drained a whole arena at a time -- and finally flushes everything
-    /// the tick staged (new sends, retransmits, acks) as one batch.
-    /// Returns how many units of work (timers + datagrams) were processed.
+    /// One event-loop iteration of the port (NetPort: fire due timers,
+    /// drain the socket, flush the tick's batch).  Returns how many
+    /// units of work (timers + datagrams) were processed.
     std::size_t poll() {
-        std::size_t work = wheel_.fire_due();
-        transport_->flush();  // delayed impairer copies matured above
-        RecvBatch& rx = rx_batch();
-        for (;;) {
-            const std::size_t n = transport_->recv_batch(rx);
-            for (std::size_t i = 0; i < n; ++i) handle_datagram(rx[i]);
-            work += n;
-            if (n < rx.capacity()) break;
+        return port_.poll([this](std::span<const std::uint8_t> bytes) { handle_datagram(bytes); });
+    }
+
+    /// Decodes one datagram and feeds it to handle_frame(); a frame that
+    /// fails decode is counted and dropped (treated as loss).
+    void handle_datagram(std::span<const std::uint8_t> bytes) {
+        const wire::ViewResult result = wire::decode_view(bytes);
+        if (!result.ok()) {
+            ++duplex_.tx_metrics_mut().decode_errors;
+            if (result.error() == wire::DecodeError::BadCrc) {
+                ++duplex_.tx_metrics_mut().crc_errors;
+            }
+            return;  // treated as loss
         }
-        tx_batch_.flush(*transport_);
-        return work;
+        handle_frame(result.frame());
     }
 
     /// Feeds one already-decoded frame to the drivers -- the entry point
@@ -327,7 +422,10 @@ public:
     std::uint64_t piggybacked() const { return duplex_.piggybacked(); }
     std::uint64_t standalone_acks() const { return duplex_.standalone_acks(); }
 
-    TimerWheel& wheel() { return wheel_; }
+    TimerWheel& wheel() { return port_.wheel(); }
+    /// The sending half, for its observers (sent_new, released,
+    /// ack_cursor, first_sent_at).
+    const auto& tx_driver() const { return duplex_.tx_driver(); }
     SimTime timeout_value() const { return duplex_.timeout_value(); }
     const Core& tx_core() const { return duplex_.tx_core(); }
     const Core& rx_core() const { return duplex_.rx_core(); }
@@ -356,28 +454,28 @@ public:
     // ---- Environment hooks (called by DuplexDriver) ------------------------
     // Public because the driver is a distinct type; not user API.
 
-    /// Real time cannot prove quiescence; the driver substitutes its
-    /// silence-timer approximation for the oracle modes.
+    /// One endpoint cannot prove its channels empty; the driver
+    /// substitutes its silence-timer approximation for the oracle modes.
     static constexpr bool kHasOracle = false;
 
-    TimerService& timer_service() { return wheel_; }
-    SimTime now() const { return wheel_.now(); }
+    TimerService& timer_service() { return port_.timer_service(); }
+    SimTime now() const { return port_.now(); }
 
     void send_data(const proto::Data& msg, Seq true_seq, bool /*retx*/) {
-        // Stage the frame on the tick's batch; poll() flushes the whole
-        // window in one send_batch.  The payload is keyed by the true
-        // sequence number (the receiver re-derives or reassembles it at
-        // delivery), while the frame carries the core's wire value --
-        // identical for unbounded cores, a residue for bounded ones.
-        // The bytes land in a reused scratch and are encoded straight
-        // onto the slab -- no per-frame allocation once both are at
-        // high-water mark.
+        // Stage the frame with the port (NetPort batches the tick for one
+        // send_batch; SimPort puts it on its channel now).  The payload
+        // is keyed by the true sequence number (the receiver re-derives
+        // or reassembles it at delivery), while the frame carries the
+        // core's wire value -- identical for unbounded cores, a residue
+        // for bounded ones.  The bytes land in a reused scratch and are
+        // encoded straight onto the port's buffer -- on NetPort no
+        // per-frame allocation once both are at high-water mark.
         stage_payload(true_seq);
-        tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
+        port_.stage([&](std::vector<std::uint8_t>& slab) {
             wire::encode_data_to(slab, msg.seq, payload_scratch_, wire::kFlagNone, cfg_.stream,
                                  cfg_.conn);
         });
-        maybe_flush();
+        port_.staged();
     }
 
     /// Reverse DATA carrying a deferred ack block.  The duplex layer
@@ -386,11 +484,11 @@ public:
     void send_data_ack(const proto::Data& msg, Seq true_seq, bool /*retx*/,
                        const proto::Ack& ack, runtime::AckKind) {
         stage_payload(true_seq);
-        tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
+        port_.stage([&](std::vector<std::uint8_t>& slab) {
             wire::encode_data_ack_to(slab, msg.seq, ack.lo, ack.hi, payload_scratch_,
                                      wire::kFlagNone, cfg_.stream, cfg_.conn);
         });
-        maybe_flush();
+        port_.staged();
     }
 
     /// Bounded cores ack residue *ranges*; a block that straddles the
@@ -403,29 +501,29 @@ public:
         if constexpr (runtime::kCoreAckWireWrapped<Core>) {
             if (ack.lo > ack.hi) {
                 const Seq top = duplex_.rx_core().ack_wire_domain() - 1;
-                tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
+                port_.stage([&](std::vector<std::uint8_t>& slab) {
                     wire::encode_ack_to(slab, ack.lo, top, wire::kFlagNone, cfg_.stream,
                                         cfg_.conn);
                 });
-                tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
+                port_.stage([&](std::vector<std::uint8_t>& slab) {
                     wire::encode_ack_to(slab, 0, ack.hi, wire::kFlagNone, cfg_.stream,
                                         cfg_.conn);
                 });
-                maybe_flush();
+                port_.staged();
                 return;
             }
         }
-        tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
+        port_.stage([&](std::vector<std::uint8_t>& slab) {
             wire::encode_ack_to(slab, ack.lo, ack.hi, wire::kFlagNone, cfg_.stream, cfg_.conn);
         });
-        maybe_flush();
+        port_.staged();
     }
 
     void send_nak(const proto::Nak& nak) {
-        tx_batch_.append_with([&](std::vector<std::uint8_t>& slab) {
+        port_.stage([&](std::vector<std::uint8_t>& slab) {
             wire::encode_nak_to(slab, nak.seq, wire::kFlagNone, cfg_.stream, cfg_.conn);
         });
-        maybe_flush();
+        port_.staged();
     }
 
     /// Consumes the stashed payload of one in-order delivery.  The stash
@@ -455,18 +553,6 @@ public:
     void after_step() {}
 
 private:
-    void handle_datagram(std::span<const std::uint8_t> bytes) {
-        const wire::ViewResult result = wire::decode_view(bytes);
-        if (!result.ok()) {
-            ++duplex_.tx_metrics_mut().decode_errors;
-            if (result.error() == wire::DecodeError::BadCrc) {
-                ++duplex_.tx_metrics_mut().crc_errors;
-            }
-            return;  // treated as loss
-        }
-        handle_frame(result.frame());
-    }
-
     /// A frame for a direction this endpoint does not run.  Counted on
     /// the sending half's metrics; the per-endpoint merge makes the
     /// choice of half invisible.
@@ -503,39 +589,14 @@ private:
         }
     }
 
-    /// The receive arena, built on first poll(): a server-driven session
-    /// never polls its own transport, so it never pays for one.
-    RecvBatch& rx_batch() {
-        if (!rx_batch_) {
-            rx_batch_ =
-                std::make_unique<RecvBatch>(cfg_.effective_batch(), cfg_.max_datagram);
-        }
-        return *rx_batch_;
-    }
-
     NetConfig cfg_;
-    TimerWheel& wheel_;
-    Transport* transport_;
+    Port port_;
 
     std::uint64_t bytes_delivered_ = 0;
     std::uint64_t payload_mismatches_ = 0;
     // Live stash entries are protocol-bounded by the window (+1 for the
     // in-flight arrival, so a full window never triggers a table grow).
     PayloadStash stash_{static_cast<std::size_t>(cfg_.w) + 1};  // wire seq -> payload
-    std::unique_ptr<RecvBatch> rx_batch_;        // lazy: see rx_batch()
-    /// Flushes the staged batch when unbatched sending is configured, or
-    /// when the builder has filled its reserved burst -- a post-stall
-    /// poll can drain an arbitrary backlog in one pass, and capping the
-    /// batch here bounds the builder to the ctor's reserve (a real
-    /// sendmmsg caps a batch at IOV_MAX the same way).
-    void maybe_flush() {
-        if (cfg_.effective_batch() <= 1 || tx_batch_.size() >= batch_cap_) {
-            tx_batch_.flush(*transport_);
-        }
-    }
-
-    SendBatch tx_batch_;                          // the tick's staged frames
-    std::size_t batch_cap_ = 0;                   // reserved burst; see ctor
     std::vector<std::uint8_t> payload_scratch_;   // outbound bytes, reused
     std::vector<std::uint8_t> expected_scratch_;  // pattern verify, reused
     PayloadSource payload_source_;  // empty = pattern payloads

@@ -13,7 +13,11 @@
 /// queued instead of sent; the next reverse DATA carries the oldest
 /// pending block as a DATA+ACK frame (wire type 4), and a flush timer
 /// bounds the deferral so a quiet reverse path still acks within
-/// piggyback_delay.  E13 measured the DES-side win of exactly this
+/// piggyback_delay.  When the ack policy itself holds acks (threshold
+/// > 1), reverse DATA may also take the block still held there, so a
+/// block can ride from the moment it is pending: through the policy's
+/// hold, then through the deferral -- at most flush_delay +
+/// piggyback_delay in all.  E13 measures the DES-side win of this
 /// policy; this class brings it to any DriverEnvironment, including the
 /// real network (net::NetEndpoint).
 ///
@@ -127,12 +131,12 @@ public:
     void handle_nak(const proto::Nak& nak) { driver_tx_.handle_nak(nak); }
     void handle_data(const proto::Data& msg) { driver_rx_.handle_data(msg); }
 
-    /// A piggybacked frame: the ack half feeds our sending driver first
-    /// (freeing window before the data half may trigger an ack of our
-    /// own), then the data half feeds the receiving driver.
+    /// A piggybacked frame: the data half feeds the receiving driver
+    /// first, so the ack it provokes is pending when the ack half then
+    /// frees window and the sending driver pumps -- the reply rides it.
     void handle_data_ack(const proto::Data& msg, const proto::Ack& ack) {
-        driver_tx_.handle_ack(ack);
         driver_rx_.handle_data(msg);
+        driver_tx_.handle_ack(ack);
     }
 
     /// DES idle hook for the oracle timeout modes; fires whichever half
@@ -169,6 +173,7 @@ public:
     const Core& rx_core() const { return driver_rx_.core(); }
 
     TxDriver& tx_driver() { return driver_tx_; }
+    const TxDriver& tx_driver() const { return driver_tx_; }
     RxDriver& rx_driver() { return driver_rx_; }
 
     /// Both halves share one log; the inner drivers stamp 'S' / 'R'
@@ -252,10 +257,14 @@ private:
     // ---- egress policy ----------------------------------------------
 
     /// Outbound DATA from the sending half: attach the oldest pending
-    /// ack block if one is queued.  Wrapped bounded-BA blocks (hi < lo)
+    /// ack block if one is queued, or else the block the receiving half's
+    /// ack policy still holds.  Wrapped bounded-BA blocks (hi < lo)
     /// ride as the upper slice (lo, domain-1); the lower slice (0, hi)
     /// stays at the head of the queue for the next frame.
     void egress_data(const proto::Data& msg, Seq true_seq, bool retx) {
+        if (piggyback_ && head_ == pending_.size()) {
+            if (const auto held = driver_rx_.take_held_ack()) defer(*held, AckKind::Block);
+        }
         if (head_ < pending_.size()) {
             PendingAck ride = pending_[head_];
             if constexpr (kCoreAckWireWrapped<Core>) {
@@ -287,6 +296,10 @@ private:
             env_.send_ack(ack, kind);
             return;
         }
+        defer(ack, kind);
+    }
+
+    void defer(const proto::Ack& ack, AckKind kind) {
         pending_.push_back(PendingAck{ack, kind});
         if (!flush_timer_.armed()) flush_timer_.restart(piggyback_delay_);
     }

@@ -9,6 +9,7 @@
 /// which kind of time or channel is underneath them.
 
 #include <algorithm>
+#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <optional>
@@ -23,42 +24,91 @@
 
 namespace bacp::runtime {
 
-/// Dense true-seq -> SimTime table.  True sequence numbers are assigned
-/// contiguously from 0, so a flat vector with a "never" sentinel beats a
-/// hash map on every axis that matters to the hot path: O(1) with no
-/// hashing, no rehash-driven allocation after reserve(), and entries are
-/// 8 bytes apiece.  Values are write-once-per-note and never erased
-/// (clearing is not needed: each runtime consults a seq only while it is
-/// outstanding).
-class SeqTimeTable {
+/// True-seq -> value table over the live span of a session's sequence
+/// space.  True sequence numbers are assigned contiguously from 0, but a
+/// session only ever consults the ones at or above a *floor* that moves
+/// forward with it (the sender's retired prefix, the receiver's delivery
+/// count), and the span above the floor is bounded by the protocol: at
+/// most w for the paper's senders, buffer_cap for hole reuse, the
+/// backlog for open-loop arrival stamps.  The table is a power-of-two
+/// ring keyed by seq with each slot tagged by its seq, so memory follows
+/// that span instead of the message count, reads of overwritten or
+/// never-written seqs return kEmpty, and the steady state neither
+/// allocates nor hashes.  The ring grows (rehashing the live slots) only
+/// when a write would not fit the span [min(seq, floor), top) -- which
+/// happens while a session warms up, unless reserve() sized it for the
+/// span up front.
+template <typename T, T kEmpty>
+class SeqRing {
 public:
-    static constexpr SimTime kNever = -1;
+    /// Stores \p value for \p true_seq; \p floor is the lowest seq the
+    /// owner will still read.
+    void set(Seq true_seq, T value, Seq floor) {
+        const Seq lo = std::min(true_seq, floor);
+        const Seq top = std::max(top_, true_seq + 1);
+        if (top - lo > slots_.size()) grow(lo, top);
+        Slot& slot = slots_[static_cast<std::size_t>(true_seq) & mask_];
+        assert(slot.seq == true_seq || slot.seq == kNoSeq || slot.seq < lo);  // never a live entry
+        slot = Slot{true_seq, value};
+        top_ = top;
+    }
 
-    void set(Seq true_seq, SimTime t) {
-        if (true_seq >= times_.size()) {
-            // Grow in chunks: seqs arrive one at a time, and a resize per
-            // set() would pay a fill call on every message.  Clamp the
-            // chunk to an existing reserve() so a pre-sized table never
-            // reallocates mid-run.
-            std::size_t grow = times_.size() + times_.size() / 2 + 64;
-            if (grow > times_.capacity() && times_.capacity() > true_seq) {
-                grow = times_.capacity();
-            }
-            times_.resize(std::max<std::size_t>(true_seq + 1, grow), kNever);
+    /// Sizes an empty ring for a live span of \p span seqs, so an owner
+    /// whose span stays within it never allocates again.
+    void reserve(std::size_t span) {
+        if (slots_.empty()) grow(0, static_cast<Seq>(span));
+    }
+
+    /// kEmpty when the seq was never recorded or has been overwritten.
+    T get(Seq true_seq) const {
+        if (slots_.empty()) return kEmpty;
+        const Slot& slot = slots_[static_cast<std::size_t>(true_seq) & mask_];
+        return slot.seq == true_seq ? slot.value : kEmpty;
+    }
+
+    void clear(Seq true_seq) {
+        if (slots_.empty()) return;
+        Slot& slot = slots_[static_cast<std::size_t>(true_seq) & mask_];
+        if (slot.seq == true_seq) slot.value = kEmpty;
+    }
+
+    /// Calls \p fn with every stored non-empty value.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+        for (const Slot& slot : slots_) {
+            if (slot.value != kEmpty) fn(slot.value);
         }
-        times_[true_seq] = t;
     }
-
-    /// kNever when the seq was never recorded.
-    SimTime get(Seq true_seq) const {
-        return true_seq < times_.size() ? times_[true_seq] : kNever;
-    }
-
-    void reserve(std::size_t n) { times_.reserve(n); }
 
 private:
-    std::vector<SimTime> times_;
+    static constexpr Seq kNoSeq = ~Seq{0};
+
+    struct Slot {
+        Seq seq = kNoSeq;
+        T value = kEmpty;
+    };
+
+    void grow(Seq lo, Seq top) {
+        std::size_t cap = std::max<std::size_t>(8, 2 * slots_.size());
+        while (cap < top - lo) cap *= 2;
+        std::vector<Slot> next(cap);
+        for (const Slot& slot : slots_) {
+            if (slot.seq != kNoSeq && slot.seq >= lo && slot.seq < top) {
+                next[static_cast<std::size_t>(slot.seq) & (cap - 1)] = slot;
+            }
+        }
+        slots_ = std::move(next);
+        mask_ = cap - 1;
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    Seq top_ = 0;  // one past the highest seq ever stored
 };
+
+/// Transmission times by true seq (kNever = not recorded).
+inline constexpr SimTime kNever = -1;
+using SeqTimeTable = SeqRing<SimTime, kNever>;
 
 /// Read-only view of a runtime's transmission log, handed to cores that
 /// need transmission times (send horizon, NAK one-copy rule).
@@ -69,7 +119,7 @@ struct TxView {
 
     std::optional<SimTime> last_tx_time(Seq true_seq) const {
         const SimTime t = last_tx->get(true_seq);
-        if (t == SeqTimeTable::kNever) return std::nullopt;
+        if (t == kNever) return std::nullopt;
         return t;
     }
 };
@@ -168,18 +218,17 @@ inline constexpr bool kCoreCorruptible = requires(C& c, Rng& rng) {
 /// ago"); view() packages the log for the core-facing TxView.
 class TxLog {
 public:
-    void note(Seq true_seq, SimTime now) { last_tx_.set(true_seq, now); }
+    void note(Seq true_seq, SimTime now, Seq floor) { last_tx_.set(true_seq, now, floor); }
+    void reserve(std::size_t span) { last_tx_.reserve(span); }
 
     bool matured(Seq true_seq, SimTime now, SimTime timeout) const {
         const SimTime t = last_tx_.get(true_seq);
-        return t != SeqTimeTable::kNever && now - t >= timeout;
+        return t != kNever && now - t >= timeout;
     }
 
     TxView view(SimTime now, SimTime data_lifetime) const {
         return {now, data_lifetime, &last_tx_};
     }
-
-    void reserve(std::size_t n) { last_tx_.reserve(n); }
 
 private:
     SeqTimeTable last_tx_;

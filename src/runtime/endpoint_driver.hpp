@@ -203,40 +203,8 @@ concept DriverEnvironment =
     };
 // clang-format on
 
-/// Dense true-seq -> TimerId table for the per-message discipline.  Same
-/// shape and rationale as SeqTimeTable: true seqs are contiguous from 0,
-/// so a flat vector with chunked growth (clamped to an existing
-/// reserve()) keeps the steady state allocation-free where a hash map
-/// would rehash.
-class SeqTimerTable {
-public:
-    void set(Seq true_seq, TimerId id) {
-        if (true_seq >= ids_.size()) {
-            std::size_t grow = ids_.size() + ids_.size() / 2 + 64;
-            if (grow > ids_.capacity() && ids_.capacity() > true_seq) {
-                grow = ids_.capacity();
-            }
-            ids_.resize(std::max<std::size_t>(true_seq + 1, grow), kInvalidTimer);
-        }
-        ids_[true_seq] = id;
-    }
-
-    TimerId get(Seq true_seq) const {
-        return true_seq < ids_.size() ? ids_[true_seq] : kInvalidTimer;
-    }
-
-    void clear(Seq true_seq) {
-        if (true_seq < ids_.size()) ids_[true_seq] = kInvalidTimer;
-    }
-
-    void reserve(std::size_t n) { ids_.reserve(n); }
-
-    /// Every live id, for cancel-all on destruction.
-    const std::vector<TimerId>& raw() const { return ids_; }
-
-private:
-    std::vector<TimerId> ids_;
-};
+/// True seq -> live per-message timer (see SeqRing).
+using SeqTimerTable = SeqRing<TimerId, kInvalidTimer>;
 
 template <EndpointCore Core, typename Env>
 class EndpointDriver {
@@ -263,12 +231,17 @@ public:
         static_assert(DriverEnvironment<Env>);
         timeout_ = effective_timeout(cfg_);
         data_lifetime_ = cfg_.data_link.max_lifetime();
-        // Pre-size the per-seq tables and the candidate scratch so the
-        // steady-state loop never touches the allocator.
-        txlog_.reserve(cfg_.count);
-        first_send_.reserve(cfg_.count);
-        if (cfg_.arrival_interval > 0) arrival_time_.reserve(cfg_.count);
-        if (mode_ == TimeoutMode::PerMessageTimer) pm_timers_.reserve(cfg_.count);
+        // The sender's live span is at most w for the paper's cores, so
+        // sizing the per-seq rings for it now keeps a session that later
+        // widens its span (a loss burst) from allocating mid-run.  Hole
+        // reuse or a deep open-loop backlog can still grow them.
+        if (cfg_.count > 0) {
+            const auto span = static_cast<std::size_t>(cfg_.w);
+            txlog_.reserve(span);
+            first_send_.reserve(span);
+            pm_timers_.reserve(span);
+            if (cfg_.arrival_interval > 0) arrival_time_.reserve(span);
+        }
         seq_scratch_.reserve(cfg_.w + 1);
     }
 
@@ -279,9 +252,7 @@ public:
         // Per-message expiries are raw TimerService timers (the OneShot
         // members cancel themselves); reclaim them so no closure on the
         // service can fire into a dead driver.
-        for (const TimerId id : pm_timers_.raw()) {
-            if (id != kInvalidTimer) env_.timer_service().cancel(id);
-        }
+        pm_timers_.for_each([this](TimerId id) { env_.timer_service().cancel(id); });
     }
 
     /// Opens the faucet: stamps the start time, releases the workload
@@ -322,7 +293,7 @@ public:
         // O(newly acked) amortized.
         while (ack_cursor_ < sent_new_ && !core_.can_resend(ack_cursor_)) {
             const SimTime sent = first_send_.get(ack_cursor_);
-            if (sent != SeqTimeTable::kNever) {
+            if (sent != kNever) {
                 metrics_.ack_latency.add(env_.now() - sent);
             }
             // Reclaim the retired message's expiry timer now instead of
@@ -411,6 +382,19 @@ public:
         env_.after_step();
     }
 
+    /// Ends the ack policy's hold early: the pending block is decided
+    /// now -- counted and logged exactly as a flush would -- and handed
+    /// to the caller instead of egressing.  DuplexDriver rides it on the
+    /// outbound DATA that cut the hold short.
+    std::optional<proto::Ack> take_held_ack() {
+        if (core_.ack_pending() == 0) return std::nullopt;
+        ack_flush_timer_.cancel();
+        const proto::Ack ack = core_.make_ack();
+        ++metrics_.acks_sent;
+        log(Decision::AckBlock, 'R', ack.lo, ack.hi);
+        return ack;
+    }
+
     // ---- oracle hook (environments with provable quiescence) ---------------
 
     /// Fires the oracle timeout disciplines at a proven idle point.  The
@@ -484,7 +468,7 @@ public:
                         pm_timers_.clear(true_seq);
                         chaos_premature_fire(true_seq);
                     });
-                pm_timers_.set(true_seq, id);
+                pm_timers_.set(true_seq, id, ack_cursor_);
                 ++scrambled;
             }
         }
@@ -515,6 +499,17 @@ public:
 
     Seq delivered() const { return delivered_; }
     Seq sent_new() const { return sent_new_; }
+    /// Messages released into the window so far (the app-gated queue is
+    /// released() - sent_new()).
+    Seq released() const { return app_released_; }
+    /// Length of the retired prefix: every message below it is
+    /// acknowledged, so its payload and per-seq state are dead.
+    Seq ack_cursor() const { return ack_cursor_; }
+    /// First-transmission instant of \p true_seq: exact for every seq at
+    /// or above ack_cursor(), kNever when never recorded or since
+    /// overwritten.  Lets a receiver in the same clock domain measure
+    /// delivery latency.
+    SimTime first_sent_at(Seq true_seq) const { return first_send_.get(true_seq); }
     SimTime timeout_value() const { return timeout_; }
     TimeoutMode mode() const { return mode_; }
     const Core& core() const { return core_; }
@@ -547,7 +542,9 @@ private:
     }
 
     void on_arrival_tick() {
-        arrival_time_.set(app_released_, env_.now());
+        // Read back at delivery; a sending-only half never delivers, so
+        // its floor follows the acks instead.
+        arrival_time_.set(app_released_, env_.now(), std::max(ack_cursor_, delivered_));
         ++app_released_;
         pump_send();
         schedule_arrival();
@@ -569,7 +566,7 @@ private:
             }
             const proto::Data msg = core_.send_new(env_.now());
             const Seq true_seq = sent_new_++;
-            first_send_.set(true_seq, env_.now());
+            first_send_.set(true_seq, env_.now(), ack_cursor_);
             transmit(msg, true_seq, /*retx=*/false);
         }
     }
@@ -581,7 +578,7 @@ private:
             ++metrics_.data_new;
         }
         log(retx ? Decision::Resend : Decision::Send, 'S', true_seq, true_seq);
-        txlog_.note(true_seq, env_.now());
+        txlog_.note(true_seq, env_.now(), ack_cursor_);
         env_.send_data(msg, true_seq, retx);
         switch (mode_) {
             case TimeoutMode::SimpleTimer:
@@ -601,7 +598,7 @@ private:
     /// Per-message expiry timer.  The newest copy owns the seq's timer:
     /// rescheduling cancels the previous one (whose fire was a provable
     /// no-op anyway -- matured() fails while a newer copy is fresh), and
-    /// the dense table lets the destructor reclaim every live closure.
+    /// the per-seq ring lets the destructor reclaim every live closure.
     void schedule_per_message(Seq true_seq) {
         const TimerId prev = pm_timers_.get(true_seq);
         if (prev != kInvalidTimer) env_.timer_service().cancel(prev);
@@ -609,7 +606,7 @@ private:
             pm_timers_.clear(true_seq);
             per_message_fire(true_seq);
         });
-        pm_timers_.set(true_seq, id);
+        pm_timers_.set(true_seq, id, ack_cursor_);
     }
 
     void on_simple_timeout() {
@@ -767,22 +764,20 @@ private:
         // only runs the receiving half has neither table filled in and
         // records no latency (its clock is not the sender's).
         const SimTime arrived = arrival_time_.get(true_seq);
-        if (arrived != SeqTimeTable::kNever) {
+        if (arrived != kNever) {
             metrics_.latency.add(env_.now() - arrived);
         } else {
             const SimTime sent = first_send_.get(true_seq);
-            if (sent != SeqTimeTable::kNever) metrics_.latency.add(env_.now() - sent);
+            if (sent != kNever) metrics_.latency.add(env_.now() - sent);
         }
         if (delivered_ == cfg_.count) metrics_.end_time = env_.now();
     }
 
     void flush_ack() {
         ack_flush_timer_.cancel();
-        if (core_.ack_pending() == 0) return;
-        const proto::Ack ack = core_.make_ack();
-        ++metrics_.acks_sent;
-        log(Decision::AckBlock, 'R', ack.lo, ack.hi);
-        env_.send_ack(ack, AckKind::Block);
+        const std::optional<proto::Ack> ack = take_held_ack();
+        if (!ack) return;
+        env_.send_ack(*ack, AckKind::Block);
         env_.after_step();
     }
 
@@ -802,9 +797,9 @@ private:
     SimTime data_lifetime_ = 0;  // cached cfg_.data_link.max_lifetime()
     bool gate_waiters_ = false;  // a per-message fire was gate-blocked
     Seq sent_new_ = 0;      // new messages handed to the wire (== true ns)
-    Seq ack_cursor_ = 0;    // messages retired by acks (latency sweep)
+    Seq ack_cursor_ = 0;    // messages retired by acks; floor of the per-seq rings
     Seq delivered_ = 0;     // in-order deliveries at the receiver (== true vr)
-    Seq app_released_ = 0;  // open loop: messages made available so far
+    Seq app_released_ = 0;  // open loop / app-gated: messages made available so far
     SeqTimeTable arrival_time_;     // open loop only
     SeqTimeTable first_send_;       // true seq -> first tx time
     TxLog txlog_;                   // true seq -> last tx time

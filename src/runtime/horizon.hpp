@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file horizon.hpp
-/// Send-horizon rule, shared by the block-ack core and the duplex
-/// session.
+/// Send-horizon rule, applied by the block-ack core (ba::EngineCore) in
+/// every runtime.
 ///
 /// When an acknowledgment covers a message i whose last copy may still be
 /// in transit (last_tx(i) + L_SR > now -- only possible after

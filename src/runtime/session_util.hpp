@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file session_util.hpp
-/// Small helpers shared by the Engine and the duplex session.
+/// Small helpers shared by the runtimes and the link layer.
 
 #include <cstdint>
 

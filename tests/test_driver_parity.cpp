@@ -35,8 +35,15 @@
 
 #include "ba/engine_core.hpp"
 #include "baselines/engine_cores.hpp"
+#include "channel/delay_model.hpp"
+#include "channel/loss_model.hpp"
+#include "link/net_link.hpp"
+#include "link/sim_link.hpp"
+#include "net/clock.hpp"
+#include "net/impairer.hpp"
 #include "net/net_session.hpp"
 #include "runtime/engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace bacp {
 namespace {
@@ -305,6 +312,116 @@ TEST(DriverParity, DuplexCompositionUnbounded) {
 
 TEST(DriverParity, DuplexCompositionBounded) {
     expect_duplex_parity_all_modes<ba::EngineCore<ba::BoundedSender, ba::BoundedReceiver>>();
+}
+
+// ---- link layer ----------------------------------------------------------
+//
+// The discrete-event link (link::SimLink: a sending and a receiving
+// NetEndpoint on the simulator port, over ByteChannels) and the
+// real-network link (link::NetReliableLink over InprocTransport +
+// ManualClock) are one endpoint on two ports; the net side here drives
+// that endpoint (link::NetLinkEndpoint) directly.  The pin: with the same
+// scripted data-direction drops and fixed delays they make the same
+// decisions, timestamps included -- bounded core, NAK fast retransmit
+// on, piggyback off (a one-way link has nothing to ride).
+
+std::vector<std::uint8_t> link_payload(Seq i) {
+    return std::vector<std::uint8_t>(static_cast<std::size_t>(i % 13) + 1,
+                                      static_cast<std::uint8_t>(i));
+}
+
+TEST(DriverParity, LinkLayerBoundedNak) {
+    constexpr Seq kW = 8;
+
+    // DES side: one SimLink over two fixed-delay ByteChannels, the data
+    // direction scripted to drop kDrops.
+    sim::Simulator sim;
+    Rng data_rng(1);
+    Rng ack_rng(2);
+    link::ByteChannel::Config data_cfg;
+    data_cfg.loss = std::make_unique<channel::ScriptedLoss>(kDrops);
+    data_cfg.delay = std::make_unique<channel::FixedDelay>(kL);
+    link::ByteChannel::Config ack_cfg;
+    ack_cfg.delay = std::make_unique<channel::FixedDelay>(kL);
+    link::ByteChannel data(sim, data_rng, std::move(data_cfg));
+    link::ByteChannel ack(sim, ack_rng, std::move(ack_cfg));
+    net::NetConfig endpoint;
+    endpoint.w = kW;
+    endpoint.link_lifetime = kL;
+    endpoint.enable_nak = true;
+    link::SimLink des(sim, data, ack, endpoint);
+    data.set_receiver(
+        [&](const link::ByteChannel::Frame& f) { des.receiver().handle_datagram(f); });
+    ack.set_receiver(
+        [&](const link::ByteChannel::Frame& f) { des.sender().handle_datagram(f); });
+    DecisionLog des_sender;
+    DecisionLog des_receiver;
+    des.sender().set_decision_log(&des_sender);
+    des.receiver().set_decision_log(&des_receiver);
+    std::vector<std::vector<std::uint8_t>> des_got;
+    des.set_on_deliver(
+        [&](std::span<const std::uint8_t> p) { des_got.emplace_back(p.begin(), p.end()); });
+    for (Seq i = 0; i < kCount; ++i) des.send(link_payload(i));
+    sim.run();
+    ASSERT_EQ(des.delivered_count(), kCount) << "DES link did not complete";
+
+    // Net side: the endpoint NetReliableLink wraps (link::NetLinkEndpoint)
+    // on the same config, a sender and a receiver, the same drops
+    // scripted on A's egress.
+    net::ManualClock clock;
+    net::TimerWheel wheel_a(clock);
+    net::TimerWheel wheel_b(clock);
+    auto [ta, tb] = net::InprocTransport::make_pair();
+    net::ImpairSpec forward;
+    forward.delay_lo = kL;
+    forward.delay_hi = kL;
+    forward.scripted_drops = kDrops;
+    net::ImpairSpec backward;
+    backward.delay_lo = kL;
+    backward.delay_hi = kL;
+    net::Impairer imp_a(*ta, wheel_a, forward, 1);
+    net::Impairer imp_b(*tb, wheel_b, backward, 2);
+    net::NetConfig cfg = endpoint;
+    cfg.app_arrivals = true;
+    cfg.count = kCount;
+    link::NetLinkEndpoint a(cfg, {}, wheel_a, imp_a);
+    cfg.count = 0;
+    cfg.rx_count = kCount;
+    link::NetLinkEndpoint b(cfg, {}, wheel_b, imp_b);
+    link::PayloadStore store;
+    store.bind(a);
+    DecisionLog net_sender;
+    DecisionLog net_receiver;
+    a.set_decision_log(&net_sender);
+    b.set_decision_log(&net_receiver);
+    std::vector<std::vector<std::uint8_t>> net_got;
+    b.set_deliver_sink([&](Seq, std::span<const std::uint8_t> p) {
+        net_got.emplace_back(p.begin(), p.end());
+    });
+    a.start();
+    b.start();
+    for (Seq i = 0; i < kCount; ++i) store.send(a, link_payload(i));
+    while (!(a.done() && b.done())) {
+        if (a.poll() + b.poll() > 0) continue;
+        const auto next_a = wheel_a.next_deadline();
+        const auto next_b = wheel_b.next_deadline();
+        ASSERT_TRUE(next_a || next_b) << "net link wedged";
+        clock.advance_to(!next_b || (next_a && *next_a < *next_b) ? *next_a : *next_b);
+    }
+
+    EXPECT_EQ(des_sender.entries, net_sender.entries)
+        << "sender decisions diverged\nDES:\n"
+        << render(des_sender.entries) << "net:\n"
+        << render(net_sender.entries);
+    EXPECT_EQ(des_receiver.entries, net_receiver.entries)
+        << "receiver decisions diverged\nDES:\n"
+        << render(des_receiver.entries) << "net:\n"
+        << render(net_receiver.entries);
+    EXPECT_EQ(des_got, net_got);
+    // The scenario exercised loss recovery through the NAK path.
+    EXPECT_GT(des.naks_sent(), 0u);
+    EXPECT_GT(des.fast_retransmissions(), 0u);
+    EXPECT_GE(des.retransmissions(), kDrops.size());
 }
 
 }  // namespace

@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/duplex_session.hpp"
+#include "link/duplex_session.hpp"
 #include "wire/codec.hpp"
 
-namespace bacp::runtime {
+namespace bacp::link {
 namespace {
 
 using namespace bacp::literals;
+using runtime::LinkSpec;
 
 DuplexConfig symmetric(Seq count, double loss, std::uint64_t seed, bool piggyback) {
     DuplexConfig cfg;
@@ -64,6 +65,9 @@ TEST(Duplex, LosslessSymmetricCompletes) {
     EXPECT_EQ(result.b_to_a.delivered, 500u);
     EXPECT_EQ(result.a_to_b.data_retx, 0u);
     EXPECT_EQ(result.b_to_a.data_retx, 0u);
+    // Every delivery is timed against its first transmission at the peer.
+    EXPECT_EQ(result.a_to_b.latency.count(), 500u);
+    EXPECT_GE(result.b_to_a.latency.min(), 4 * kMillisecond);
 }
 
 TEST(Duplex, LossyBothDirectionsComplete) {
@@ -147,4 +151,4 @@ TEST_P(DuplexSeedSweep, ExactlyOnceBothWaysUnderLossAndReorder) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DuplexSeedSweep, ::testing::Values(11, 12, 13, 14, 15, 16));
 
 }  // namespace
-}  // namespace bacp::runtime
+}  // namespace bacp::link

@@ -86,6 +86,25 @@ TEST(HierWheel, ReentrantPushFiresSameCallWhenDue) {
     EXPECT_EQ(wheel.size(), 1u);
 }
 
+TEST(HierWheel, HandlerRearmingAnEmptiedWheelLateKeepsItsPlace) {
+    // A real-clock handler runs after fire_due's snapshot of now.  The
+    // wheel is empty when it re-arms, so push() re-bases the cursor at
+    // the handler's later reading; fire_due must not then pull the cursor
+    // back to its snapshot, or the new entry's bucket aliases an earlier
+    // tick and a later fire_due between the two spins on it for ever.
+    constexpr SimTime kTick = SimTime{1} << 16;
+    Wheel wheel;
+    int fired = 0;
+    wheel.push(0, 100, [&] { wheel.push(200 * kTick, 230 * kTick, [&] { ++fired; }); });
+    EXPECT_EQ(wheel.fire_due(100), 1u);
+    EXPECT_EQ(wheel.next_deadline(), std::optional<SimTime>(230 * kTick));
+    EXPECT_EQ(wheel.fire_due(100 * kTick), 0u);
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(wheel.fire_due(230 * kTick), 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_TRUE(wheel.empty());
+}
+
 TEST(HierWheel, HandlerCancellingCollectedTimerWins) {
     // Two timers in the same due bucket; the first handler cancels the
     // second before it runs.  The staged-generation check must honor it.

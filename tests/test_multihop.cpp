@@ -1,13 +1,13 @@
-// Tests for link endpoints, frame relays, and the two multi-hop
-// reliability architectures.
+// Tests for the SimLink building block over externally owned channels,
+// frame relays, and the two multi-hop reliability architectures.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "link/link_endpoints.hpp"
 #include "link/multihop.hpp"
+#include "link/sim_link.hpp"
 #include "sim/simulator.hpp"
 
 namespace bacp::link {
@@ -28,16 +28,16 @@ struct PointToPoint {
     Rng rev_rng{102};
     ByteChannel forward;
     ByteChannel reverse;
-    LinkSender tx;
-    LinkReceiver rx;
+    SimLink link;
 
-    explicit PointToPoint(double loss, EndpointConfig cfg = {})
+    explicit PointToPoint(double loss, net::NetConfig cfg = {})
         : forward(sim, fwd_rng, make_cfg(loss), "f"),
           reverse(sim, rev_rng, make_cfg(loss), "r"),
-          tx(sim, forward, cfg),
-          rx(sim, reverse, cfg) {
-        forward.set_receiver([this](const ByteChannel::Frame& f) { rx.on_frame(f); });
-        reverse.set_receiver([this](const ByteChannel::Frame& f) { tx.on_frame(f); });
+          link(sim, forward, reverse, cfg) {
+        forward.set_receiver(
+            [this](const ByteChannel::Frame& f) { link.receiver().handle_datagram(f); });
+        reverse.set_receiver(
+            [this](const ByteChannel::Frame& f) { link.sender().handle_datagram(f); });
     }
 
     static ByteChannel::Config make_cfg(double loss) {
@@ -49,34 +49,36 @@ struct PointToPoint {
 };
 
 TEST(LinkEndpoints, PairDeliversInOrderUnderLoss) {
-    EndpointConfig cfg;
+    net::NetConfig cfg;
     cfg.w = 8;
-    cfg.path_lifetime = 2_ms;
-    PointToPoint link(0.15, cfg);
+    cfg.link_lifetime = 2_ms;
+    PointToPoint p2p(0.15, cfg);
     std::vector<std::vector<std::uint8_t>> got;
-    link.rx.set_on_deliver(
+    p2p.link.set_on_deliver(
         [&](std::span<const std::uint8_t> p) { got.emplace_back(p.begin(), p.end()); });
-    for (Seq i = 0; i < 200; ++i) link.tx.send(payload_for(i));
-    link.sim.run();
+    for (Seq i = 0; i < 200; ++i) p2p.link.send(payload_for(i));
+    p2p.sim.run();
     ASSERT_EQ(got.size(), 200u);
     for (Seq i = 0; i < 200; ++i) ASSERT_EQ(got[i], payload_for(i)) << i;
-    EXPECT_TRUE(link.tx.idle());
-    EXPECT_GT(link.tx.retransmissions(), 0u);
+    EXPECT_TRUE(p2p.link.idle());
+    EXPECT_GT(p2p.link.retransmissions(), 0u);
+    // Acknowledged payloads are dropped: at most a window stays held.
+    EXPECT_LE(p2p.link.payloads_held(), cfg.w);
 }
 
 TEST(LinkEndpoints, NakPathWorksAcrossEndpoints) {
-    EndpointConfig cfg;
+    net::NetConfig cfg;
     cfg.w = 8;
-    cfg.path_lifetime = 2_ms;
+    cfg.link_lifetime = 2_ms;
     cfg.enable_nak = true;
-    PointToPoint link(0.15, cfg);
+    PointToPoint p2p(0.15, cfg);
     Seq delivered = 0;
-    link.rx.set_on_deliver([&](std::span<const std::uint8_t>) { ++delivered; });
-    for (Seq i = 0; i < 200; ++i) link.tx.send(payload_for(i));
-    link.sim.run();
+    p2p.link.set_on_deliver([&](std::span<const std::uint8_t>) { ++delivered; });
+    for (Seq i = 0; i < 200; ++i) p2p.link.send(payload_for(i));
+    p2p.sim.run();
     EXPECT_EQ(delivered, 200u);
-    EXPECT_GT(link.rx.naks_sent(), 0u);
-    EXPECT_GT(link.tx.fast_retransmissions(), 0u);
+    EXPECT_GT(p2p.link.naks_sent(), 0u);
+    EXPECT_GT(p2p.link.fast_retransmissions(), 0u);
 }
 
 // ------------------------------------------------------------------- relay --

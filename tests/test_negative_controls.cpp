@@ -3,7 +3,9 @@
 // exact failure it exists to prevent -- the same failures the
 // verification harness originally caught during development (DESIGN.md
 // SS5).  If one of these tests starts PASSING the "safe" assertion, the
-// corresponding positive test has probably lost its teeth.
+// corresponding positive test has probably lost its teeth.  The rules
+// are switched off through ba::EngineCore::Options, i.e. in the core the
+// DES engine, the net endpoints, the server and the link layer all run.
 //
 // Also: open-loop arrival-process unit tests for BaSession.
 
@@ -36,10 +38,10 @@ int corrupted_runs(bool disable_horizon, bool ungated_resend) {
     int corrupted = 0;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         sim::Simulator sim;
-        link::ReliableLink::Config cfg{.w = 2, .loss = 0.25, .seed = seed};
-        cfg.unsafe_disable_horizon = disable_horizon;
-        cfg.unsafe_ungated_resend = ungated_resend;
-        link::ReliableLink link(sim, cfg);
+        link::LinkCore::Options rules;
+        rules.unsafe_disable_horizon = disable_horizon;
+        rules.unsafe_ungated_resend = ungated_resend;
+        link::ReliableLink link(sim, {.w = 2, .loss = 0.25, .seed = seed}, rules);
         std::vector<std::vector<std::uint8_t>> got;
         link.set_on_deliver(
             [&](std::span<const std::uint8_t> p) { got.emplace_back(p.begin(), p.end()); });

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -127,6 +128,94 @@ TEST(NetReliableLink, SurvivesImpairmentAndPiggybacks) {
     // Bidirectional closed-loop traffic with deferral on: at least one
     // ack must have ridden a reverse DATA.
     EXPECT_GT(a.endpoint().piggybacked() + b.endpoint().piggybacked(), 0u);
+}
+
+TEST(NetReliableLink, ReverseDataTakesTheBlockTheAckPolicyHolds) {
+    net::ManualClock clock;
+    net::TimerWheel wheel_a(clock);
+    net::TimerWheel wheel_b(clock);
+    auto [ta, tb] = net::InprocTransport::make_pair();
+
+    NetReliableLink::Config cfg;
+    cfg.w = 4;
+    cfg.count = 1;
+    cfg.rx_count = 1;
+    cfg.link_lifetime = 1 * kMillisecond;
+    cfg.ack_policy = runtime::AckPolicy::delayed(2 * kMillisecond);
+    NetReliableLink a(cfg, wheel_a, *ta);
+    NetReliableLink b(cfg, wheel_b, *tb);
+    a.start();
+    b.start();
+
+    a.send(payload_for("a", 0));
+    b.poll();
+    ASSERT_EQ(b.delivered_count(), 1u);
+    // B's block for a#0 is held by its ack policy; nothing egressed yet.
+    EXPECT_EQ(b.endpoint().piggybacked() + b.endpoint().standalone_acks(), 0u);
+
+    // Reverse DATA well inside the 2 ms hold carries the held block.
+    clock.advance(500 * kMicrosecond);
+    b.poll();
+    b.send(payload_for("b", 0));
+    EXPECT_EQ(b.endpoint().piggybacked(), 1u);
+    EXPECT_EQ(b.endpoint().standalone_acks(), 0u);
+    a.poll();
+    EXPECT_TRUE(a.endpoint().tx_driver().all_sent_and_acked());
+
+    ASSERT_TRUE(drive(clock, wheel_a, wheel_b, a, b));
+    EXPECT_EQ(a.delivered_count(), 1u);
+}
+
+TEST(NetReliableLink, SendStoreHoldsAtMostWindowPlusQueue) {
+    // A long one-way transfer: the sending side must drop every payload
+    // the peer has acknowledged, so what it holds is bounded by the
+    // window plus the application's queue -- never by how many
+    // payloads it has sent.
+    constexpr Seq kCount = 100'000;
+    constexpr Seq kQueue = 16;  // payloads the application keeps queued
+    net::ManualClock clock;
+    net::TimerWheel wheel_a(clock);
+    net::TimerWheel wheel_b(clock);
+    auto [ta, tb] = net::InprocTransport::make_pair();
+
+    NetReliableLink::Config cfg;
+    cfg.w = 8;
+    cfg.count = kCount;
+    cfg.link_lifetime = 1 * kMillisecond;
+    cfg.max_payload = 64;
+    NetReliableLink a(cfg, wheel_a, *ta);
+    cfg.count = 0;
+    cfg.rx_count = kCount;
+    NetReliableLink b(cfg, wheel_b, *tb);
+    Seq in_order = 0;
+    b.set_on_deliver([&](std::span<const std::uint8_t> p) {
+        if (p.size() == 8 && p[0] == static_cast<std::uint8_t>(in_order)) ++in_order;
+    });
+    a.start();
+    b.start();
+
+    const auto& sender = a.endpoint().tx_driver();
+    std::size_t worst_excess = 0;  // max over the run of held - (w + queued)
+    Seq next = 0;
+    while (!(a.done() && b.done())) {
+        while (next < kCount && sender.released() - sender.sent_new() < kQueue) {
+            a.send(std::vector<std::uint8_t>(8, static_cast<std::uint8_t>(next++)));
+            const std::size_t bound =
+                static_cast<std::size_t>(cfg.w + sender.released() - sender.sent_new());
+            if (a.payloads_held() > bound) {
+                worst_excess = std::max(worst_excess, a.payloads_held() - bound);
+            }
+        }
+        if (a.poll() + b.poll() > 0) continue;
+        const auto next_a = wheel_a.next_deadline();
+        const auto next_b = wheel_b.next_deadline();
+        ASSERT_TRUE(next_a || next_b) << "wedged after " << in_order << " deliveries";
+        clock.advance_to(!next_b || (next_a && *next_a < *next_b) ? *next_a : *next_b);
+    }
+    EXPECT_EQ(in_order, kCount);
+    EXPECT_EQ(a.sent_count(), kCount);
+    EXPECT_EQ(worst_excess, 0u);
+    EXPECT_LE(a.payloads_held(), cfg.w);
 }
 
 TEST(NetStreamMux, IndependentStreamsOverOneSocket) {

@@ -1,10 +1,12 @@
 // Dedicated tests for the small runtime utilities: SACK-style ack
 // clipping at the mod-2w wrap boundary (ack_clip.hpp), the seed-mixing
 // and TimeoutMode naming helpers (session_util.cpp), the send-horizon
-// rule (horizon.hpp), and the shared derived-timeout formula
-// (endpoint_driver.hpp).
+// rule (horizon.hpp), the shared derived-timeout formula
+// (endpoint_driver.hpp), and the driver's per-seq ring (endpoint_core.hpp).
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "ba/bounded_sender.hpp"
 #include "ba/sender.hpp"
@@ -182,6 +184,49 @@ TEST(DerivedTimeout, EffectiveTimeoutPrefersTheExplicitValue) {
               derived_timeout(cfg.data_link, cfg.ack_link, cfg.ack_policy));
     cfg.timeout = 42 * kMillisecond;
     EXPECT_EQ(effective_timeout(cfg), 42 * kMillisecond);
+}
+
+// --------------------------------------------------------------- SeqRing --
+
+TEST(SeqRing, ReadsBackEverySeqAtOrAboveTheFloor) {
+    SeqTimeTable ring;
+    EXPECT_EQ(ring.get(0), kNever);  // never written
+    // A window of 8 sliding over 10^5 seqs: the live span stays exact.
+    constexpr Seq kW = 8;
+    for (Seq s = 0; s < 100'000; ++s) {
+        const Seq floor = s >= kW ? s - kW + 1 : 0;
+        ring.set(s, static_cast<SimTime>(3 * s), floor);
+        for (Seq live = floor; live <= s; ++live) {
+            ASSERT_EQ(ring.get(live), static_cast<SimTime>(3 * live)) << s << " " << live;
+        }
+    }
+    // Long-retired seqs were overwritten: the ring never grew to the
+    // message count, and stale reads come back empty, not aliased.
+    EXPECT_EQ(ring.get(0), kNever);
+    EXPECT_EQ(ring.get(50'000), kNever);
+}
+
+TEST(SeqRing, GrowsToTheSpanAndKeepsLiveEntries) {
+    SeqTimeTable ring;
+    // A floor that never moves (a backlog): every entry stays live.
+    for (Seq s = 0; s < 1000; ++s) ring.set(s, static_cast<SimTime>(s + 1), 0);
+    for (Seq s = 0; s < 1000; ++s) ASSERT_EQ(ring.get(s), static_cast<SimTime>(s + 1));
+    // Overwrite and clear act on the exact seq only.
+    ring.set(10, 77, 0);
+    ring.clear(11);
+    EXPECT_EQ(ring.get(10), 77);
+    EXPECT_EQ(ring.get(11), kNever);
+    EXPECT_EQ(ring.get(12), 13);
+}
+
+TEST(SeqRing, ForEachVisitsStoredValues) {
+    SeqTimerTable ids;
+    ids.set(4, 40, 0);
+    ids.set(5, 50, 0);
+    ids.clear(4);
+    std::vector<TimerId> seen;
+    ids.for_each([&](TimerId id) { seen.push_back(id); });
+    EXPECT_EQ(seen, (std::vector<TimerId>{50}));
 }
 
 // --------------------------------------------------------------- SendHorizon --

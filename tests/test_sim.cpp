@@ -7,16 +7,20 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "common/timer_service.hpp"
 #include "runtime/link_spec.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/sim_channel.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timer.hpp"
 #include "sim/trace.hpp"
 
 namespace bacp::sim {
 namespace {
+
+// The restartable one-shot timer every runtime arms, here over the
+// simulator's TimerService.
+using Timer = OneShotTimer;
 
 using namespace bacp::literals;
 

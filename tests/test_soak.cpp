@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "link/duplex_session.hpp"
 #include "link/reliable_link.hpp"
 #include "runtime/ba_session.hpp"
-#include "runtime/duplex_session.hpp"
 #include "sim/simulator.hpp"
 
 namespace bacp {
@@ -64,14 +64,14 @@ TEST(Soak, Bounded50kLossyNakAdaptive) {
 }
 
 TEST(Soak, Duplex20kEachWay) {
-    runtime::DuplexConfig cfg;
+    link::DuplexConfig cfg;
     cfg.w = 16;
     cfg.count_a_to_b = 20'000;
     cfg.count_b_to_a = 20'000;
     cfg.ab_link = runtime::LinkSpec::lossy(0.03);
     cfg.ba_link = runtime::LinkSpec::lossy(0.03);
     cfg.seed = 406;
-    runtime::DuplexSession session(cfg);
+    link::DuplexSession session(cfg);
     const auto result = session.run();
     ASSERT_TRUE(session.completed());
     EXPECT_EQ(result.a_to_b.delivered, 20'000u);

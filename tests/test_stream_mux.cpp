@@ -177,5 +177,147 @@ TEST(StreamMuxTest, SingleStreamBehavesLikePlainLink) {
     EXPECT_GT(mux.retransmissions(), 0u);
 }
 
+// ------------------------------------------------------------ golden replay --
+//
+// A fixed-seed run in the shape of the benchmark's `des` workload: four
+// paced streams (one 256-byte payload per millisecond each, streams
+// offset by 250 us), w = 32, 2 % loss both ways, NAK on.  The delivery
+// instants (simulated ns, in callback order) and the frame and
+// retransmission counts were recorded from the link layer's earlier,
+// hand-written endpoint implementation; any change to a protocol
+// decision or to the order of same-instant events moves at least one of
+// them.
+
+constexpr SimTime kGoldenDeliveries[] = {
+        4689092, 4817935, 5742518, 6135720, 6135720, 6199546,
+        6199546, 6647915, 6967182, 7499756, 7798263, 7808767,
+        8085457, 8517034, 8517034, 8683618, 8683618, 8797927,
+        9058283, 9234239, 9252919, 10487695, 11192553, 11462302,
+        11462302, 11680788, 11721477, 12713055, 12837492, 12973054,
+        13488735, 13717296, 14150980, 14150980, 14406854, 14930692,
+        15242051, 15242051, 15527365, 15903664, 16125797, 16346548,
+        17408459, 18097641, 18097641, 18505892, 18505892, 18578838,
+        19351044, 19660234, 19879928, 20110301, 20556432, 21050395,
+        21329238, 21395932, 21444521, 22138341, 22701786, 22859791,
+        23226741, 24036050, 24036050, 24036050, 24036050, 24036050,
+        24036050, 24036050, 24036050, 24036050, 24036050, 24036050,
+        24036050, 24081768, 24081768, 24143649, 24307015, 24307015,
+        24813618, 25692934, 25692934, 25712249, 25856467, 27024080,
+        27024080, 27450456, 27542567, 27931208, 28116101, 28165973,
+        29352692, 29489900, 29509520, 29755219, 30392198, 30939828,
+        31217419, 31451087, 31555302, 32036582, 32193799, 32783147,
+        32806894, 32850384, 33303515, 33607792, 33607792, 33731911,
+        35035913, 35270774, 35540649, 35818178, 35818178, 36161442,
+        36635181, 36722836, 37328676, 38056616, 38309137, 38355370,
+        38355370, 38355370, 38355370, 38355370, 38355370, 38355370,
+        38355370, 38355370, 38355370, 38355370, 38355370, 38355370,
+        38355370, 38355370, 38863712, 39577333, 39577333, 39760117,
+        39760117, 39844458, 39844458, 40100492, 40443586, 41088523,
+        41131560, 41234167, 42413344, 42617365, 43126811, 43133868,
+        43484948, 43913417, 43940985, 44650897, 44768349, 45094383,
+        45100054, 45118310, 45360280, 45888907, 46933458, 47024652,
+        47530103, 47552529, 48659524, 49311141, 49311141, 50701349,
+        50829210, 51459355, 51947436, 51947436, 53520794, 53520794,
+        53520794, 53520794, 53520794, 53520794, 53520794, 53520794,
+        53520794, 53520794, 53520794, 53520794, 53520794, 53573142,
+        53728003, 53728003, 54098781, 54655574, 54893738, 54959398,
+        55125941, 55671761, 55991117, 56392247, 56392247, 56715726,
+        57184666, 58094851, 58860467, 59145109, 59371774, 59371774,
+        59371774, 59371774, 59371774, 59371774, 59371774, 59371774,
+        59371774, 59371774, 59371774, 59371774, 59371774, 59371774,
+        59406988, 59406988, 59461336, 59764767, 61179471, 61705438,
+        61705438, 61889607, 62553265, 62589323, 62795476, 63694391,
+        63709892, 64221815, 64221815, 64409790, 64819202, 65393071,
+        65694758, 65774096, 65860224, 66357373, 66467285, 67336903,
+        67336903, 68148149, 68618950, 68844292, 69300623, 69300623,
+        69300623, 69300623, 69300623, 69300623, 69300623, 69300623,
+        69300623, 69300623, 69300623, 69300623, 69300623, 69360588,
+        69554174, 69554174, 69925222, 70207983, 70207983, 71001269,
+        71303849, 71734935, 71865580, 72164676, 72637986, 72839234,
+        72922196, 73777678, 74291336, 74732945, 74994358, 75052824,
+        75052824, 75361335, 75422825, 75441946, 75441946, 75824871,
+        76822698, 77444579, 77813191, 78081491, 78081491, 78183962,
+        79320648, 79714262, 79749267, 80010871, 80035226, 81436394,
+        81604479, 81789972, 81899898, 82180443, 82185632, 82449000,
+        82483868, 83249651, 83264480, 83511565, 83984099, 84847298,
+        85192352, 85394580, 85394580, 85394580, 85394580, 85394580,
+        85394580, 85394580, 85394580, 85394580, 85394580, 85394580,
+        85394580, 85394580, 85430655, 85701898, 85701898, 86121014,
+        86137545, 86137545, 86425419, 86425419, 86436514, 86858346,
+        87482341, 87522324, 88378364, 88438682, 88889296, 88900956,
+        89042218, 89042218, 89522503, 89751848, 89780640, 89780640,
+        90409230, 91176048, 91388341, 91444928, 91444928, 91543914,
+        92331210, 92373748, 92373748, 92745360, 93272286, 93371956,
+        94218499, 94423369, 94446113, 94539510, 94677215, 94677215,
+        94857672, 94921695, 95030369, 95311782, 96189424, 96437627,
+        96484680, 96622862, 96904641, 97385830, 97458857, 97746171,
+        97841847, 97904448, 98250792, 98265203, 98850317, 99072281,
+        99219220, 99331271, 99783650, 99857474, 100606274, 101403844,
+        101476223, 101697337, 102191677, 102555577, 102860075, 102860075,
+        103258179, 103258179, 103437048, 103871191, 104203785, 105417612,
+        105807477, 106230577, 106351337, 106351337, 106476885, 106660964,
+        106871012, 107501401, 107993256, 108637149, 108718838, 109193847,
+        109208542, 109399989, 110410526, 110438979, 112144011, 113415715,
+        113900283, 113900283, 113900283, 113900283, 113900283, 113900283,
+        113900283, 113900283, 113900283, 113900283, 113900283, 114455779,
+        114455779, 115686435, 116977367, 118005970, 119097333, 119097333,
+        120010023, 121131487, 122751897, 122927220, 122927220, 122927220,
+        122927220, 122927220, 122927220, 122927220, 122927220, 122927220,
+        122927220, 122927220, 122927220, 122927220, 122927220, 123813812,
+        123922780, 124157513, 124440751, 124440751, 124440751, 124440751,
+        124440751, 124440751, 124440751, 124440751, 124440751, 124440751,
+        124440751, 124440751, 124440751, 124693541, 124693541, 124693541,
+        124693541, 124693541, 124693541, 124693541, 124693541, 124693541,
+        124693541, 124693541, 124693541, 124693541, 124920669, 125001448,
+        125112344, 125297457, 125439764, 125503079, 125935415, 126603179,
+        126830891, 126851339, 127124844, 127159512, 127241038, 127684630,
+        128093195, 128378965, 128595322, 128606887, 128606887, 128990545,
+        129453750, 129567951, 129683864, 130077533, 130434763, 130777735,
+        130777735, 130879128, 131352754, 131553005, 132217185, 132217185,
+        132312994, 132371230
+};
+
+TEST(StreamMuxTest, GoldenReplayOfDesShape) {
+    constexpr Seq kStreams = 4;
+    constexpr Seq kPerStream = 128;
+    sim::Simulator sim;
+    StreamMux::Config cfg;
+    cfg.streams = kStreams;
+    cfg.w = 32;
+    cfg.loss = 0.02;
+    cfg.enable_nak = true;
+    cfg.seed = 3;
+    StreamMux mux(sim, cfg);
+    std::vector<SimTime> delivered_at;
+    std::vector<Seq> next(kStreams, 0);
+    bool in_order = true;
+    mux.set_on_deliver([&](Seq stream, std::span<const std::uint8_t> p) {
+        const Seq i = next[stream]++;
+        in_order = in_order && p.size() == 256 && p[0] == stream && p[1] == (i & 0xff);
+        delivered_at.push_back(sim.now());
+    });
+    for (Seq s = 0; s < kStreams; ++s) {
+        for (Seq i = 0; i < kPerStream; ++i) {
+            const SimTime at = static_cast<SimTime>(i) * 1_ms + static_cast<SimTime>(s) * 250_us;
+            sim.schedule_at(at, [&mux, s, i] {
+                std::vector<std::uint8_t> payload(256, static_cast<std::uint8_t>(i * 7 + s));
+                payload[0] = static_cast<std::uint8_t>(s);
+                payload[1] = static_cast<std::uint8_t>(i);
+                mux.send(s, std::move(payload));
+            });
+        }
+    }
+    sim.run();
+    EXPECT_TRUE(in_order);
+    EXPECT_TRUE(mux.idle());
+    EXPECT_EQ(mux.data_stats().sent, 547u);
+    EXPECT_EQ(mux.ack_stats().sent, 379u);
+    EXPECT_EQ(mux.retransmissions(), 35u);
+    ASSERT_EQ(delivered_at.size(), std::size(kGoldenDeliveries));
+    for (std::size_t k = 0; k < delivered_at.size(); ++k) {
+        ASSERT_EQ(delivered_at[k], kGoldenDeliveries[k]) << "delivery " << k;
+    }
+}
+
 }  // namespace
 }  // namespace bacp::link
