@@ -111,3 +111,38 @@ echo "== bench smoke: E25 duplex piggyback + alloc gate =="
 # byte-identical tables at 1, 2, and 8 threads (see scripts/sweep.sh).
 echo "== sweep determinism: E8 at 1/2/8 threads =="
 BUILD_DIR="$BUILD_DIR" scripts/sweep.sh --verify e8
+
+# Benchmark driver smoke (--fast only).  perfbench/ is a CMake package of
+# its own that compiles the library sources, so nothing above builds it;
+# this step does, into its own directory, and runs every workload for
+# half a second.  Half a second is too short for the driver's
+# measurement-quality checks (at least 1000 latency samples in every
+# slice; at least 8 slices for fleet), so those two are printed but not
+# fatal.  Any other failure -- a crash, a missing, wrong or duplicated
+# delivery, decode errors, a failed operation -- fails the script.
+if [[ "$SANITIZE" == OFF ]]; then
+    PERF_DIR="$BUILD_DIR-perfbench"
+    cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    cmake --build "$PERF_DIR" -j"$(nproc)" --target perfbench_driver
+    for workload in bulk duplex_lossy fleet des; do
+        echo "== perfbench smoke: $workload (0.5 s) =="
+        status=0
+        "$PERF_DIR"/perfbench_driver --workload "$workload" --seed 1 --seconds 0.5 \
+            > "$PERF_DIR/smoke_$workload.json" || status=$?
+        if [[ "$status" -gt 1 ]]; then
+            echo "perfbench_driver --workload $workload exited $status" >&2
+            exit 1
+        fi
+        python3 - "$PERF_DIR/smoke_$workload.json" <<'PY'
+import json
+import sys
+
+result = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+short_run = {"fewer than 1000 latency samples in a slice", "timed window too short"}
+fatal = [f for f in result["failures"] if f not in short_run]
+print("attempted %d  failed %d  failures %s" % (result["attempted"], result["failed"],
+                                                 result["failures"] or "none"))
+sys.exit(1 if fatal or result["failed"] else 0)
+PY
+    done
+fi

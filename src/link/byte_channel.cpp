@@ -26,7 +26,7 @@ ByteChannel::Config ByteChannel::Config::from_spec(const runtime::LinkSpec& spec
     return config;
 }
 
-ByteChannel::ByteChannel(sim::Simulator& sim, Rng& rng, Config config, std::string name)
+ByteChannel::ByteChannel(sim::Simulator& sim, Rng& rng, Config config)
     : sim_(sim),
       rng_(rng),
       loss_(config.loss ? std::move(config.loss) : std::make_unique<channel::NoLoss>()),
@@ -35,8 +35,7 @@ ByteChannel::ByteChannel(sim::Simulator& sim, Rng& rng, Config config, std::stri
       corrupt_p_(config.corrupt_p),
       service_time_(config.service_time),
       service_per_byte_(config.service_per_byte),
-      queue_capacity_(config.queue_capacity),
-      name_(std::move(name)) {
+      queue_capacity_(config.queue_capacity) {
     BACP_ASSERT_MSG(corrupt_p_ >= 0.0 && corrupt_p_ <= 1.0, "corrupt_p in [0,1]");
 }
 

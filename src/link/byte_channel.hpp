@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/delay_model.hpp"
@@ -60,7 +60,7 @@ public:
         static Config from_spec(const runtime::LinkSpec& spec);
     };
 
-    ByteChannel(sim::Simulator& sim, Rng& rng, Config config, std::string name = "B");
+    ByteChannel(sim::Simulator& sim, Rng& rng, Config config);
 
     void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
@@ -79,12 +79,35 @@ private:
     SimTime service_time_;
     SimTime service_per_byte_;
     std::size_t queue_capacity_;
-    std::string name_;
     Receiver receiver_;
     ByteChannelStats stats_;
     std::size_t in_flight_ = 0;
     SimTime link_free_at_ = 0;  // bottleneck: next departure slot
     std::size_t queued_ = 0;    // frames waiting for / in serialization
+};
+
+/// Two opposite channels, each drawing loss and delay from its own RNG
+/// stream: the private pair under ReliableLink, StreamMux and
+/// DuplexSession, and each hop of a multihop path.  The channels hold
+/// references to the RNGs beside them, so a pair never moves.
+struct ChannelPair {
+    ChannelPair(sim::Simulator& sim, ByteChannel::Config forward_cfg,
+                ByteChannel::Config reverse_cfg, std::uint64_t forward_seed,
+                std::uint64_t reverse_seed)
+        : forward_rng(forward_seed),
+          reverse_rng(reverse_seed),
+          forward(sim, forward_rng, std::move(forward_cfg)),
+          reverse(sim, reverse_rng, std::move(reverse_cfg)) {}
+    ChannelPair(const ChannelPair&) = delete;
+    ChannelPair& operator=(const ChannelPair&) = delete;
+
+    /// Frames placed on either direction.
+    std::uint64_t frames() const { return forward.stats().sent + reverse.stats().sent; }
+
+    Rng forward_rng;
+    Rng reverse_rng;
+    ByteChannel forward;  // upstream -> downstream (a link's data)
+    ByteChannel reverse;  // downstream -> upstream (a link's acks)
 };
 
 }  // namespace bacp::link

@@ -32,14 +32,15 @@ net::NetConfig DuplexSession::endpoint_config(const DuplexConfig& cfg, Seq count
 
 DuplexSession::DuplexSession(DuplexConfig config)
     : cfg_(std::move(config)),
-      rng_ab_(runtime::mix_seed(cfg_.seed, 0xab)),
-      rng_ba_(runtime::mix_seed(cfg_.seed, 0xba)),
-      ab_(sim_, rng_ab_, ByteChannel::Config::from_spec(cfg_.ab_link), "C_AB"),
-      ba_(sim_, rng_ba_, ByteChannel::Config::from_spec(cfg_.ba_link), "C_BA"),
-      a_(endpoint_config(cfg_, cfg_.count_a_to_b, cfg_.count_b_to_a), {}, sim_, ab_),
-      b_(endpoint_config(cfg_, cfg_.count_b_to_a, cfg_.count_a_to_b), {}, sim_, ba_) {
-    ab_.set_receiver([this](const ByteChannel::Frame& f) { b_.handle_datagram(f); });
-    ba_.set_receiver([this](const ByteChannel::Frame& f) { a_.handle_datagram(f); });
+      channels_(sim_, ByteChannel::Config::from_spec(cfg_.ab_link),
+                ByteChannel::Config::from_spec(cfg_.ba_link), runtime::mix_seed(cfg_.seed, 0xab),
+                runtime::mix_seed(cfg_.seed, 0xba)),
+      a_(endpoint_config(cfg_, cfg_.count_a_to_b, cfg_.count_b_to_a), {}, sim_,
+         channels_.forward),
+      b_(endpoint_config(cfg_, cfg_.count_b_to_a, cfg_.count_a_to_b), {}, sim_,
+         channels_.reverse) {
+    channels_.forward.set_receiver([this](const ByteChannel::Frame& f) { b_.handle_datagram(f); });
+    channels_.reverse.set_receiver([this](const ByteChannel::Frame& f) { a_.handle_datagram(f); });
     sink(b_, a_, latency_ab_);
     sink(a_, b_, latency_ba_);
 }
@@ -59,10 +60,10 @@ DuplexSession::Result DuplexSession::run() {
     b_.start();
     sim_.run_until(cfg_.deadline, cfg_.max_events);
     Result result;
-    result.a_to_b = direction(a_, b_, ab_, latency_ab_);
-    result.b_to_a = direction(b_, a_, ba_, latency_ba_);
-    result.frames_ab = ab_.stats().sent;
-    result.frames_ba = ba_.stats().sent;
+    result.a_to_b = direction(a_, b_, channels_.forward, latency_ab_);
+    result.b_to_a = direction(b_, a_, channels_.reverse, latency_ba_);
+    result.frames_ab = channels_.forward.stats().sent;
+    result.frames_ba = channels_.reverse.stats().sent;
     result.piggybacked = a_.piggybacked() + b_.piggybacked();
     result.standalone_acks = a_.standalone_acks() + b_.standalone_acks();
     return result;

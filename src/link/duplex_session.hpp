@@ -29,7 +29,6 @@
 
 #include "ba/engine_core.hpp"
 #include "common/histogram.hpp"
-#include "common/rng.hpp"
 #include "link/byte_channel.hpp"
 #include "link/sim_link.hpp"
 #include "runtime/link_spec.hpp"
@@ -88,10 +87,7 @@ private:
 
     DuplexConfig cfg_;
     sim::Simulator sim_;
-    Rng rng_ab_;
-    Rng rng_ba_;
-    ByteChannel ab_;
-    ByteChannel ba_;
+    ChannelPair channels_;  // forward C_AB, reverse C_BA
     Endpoint a_;
     Endpoint b_;
     Histogram latency_ab_;

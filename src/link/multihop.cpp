@@ -9,17 +9,15 @@ namespace {
 
 using runtime::mix_seed;
 
-ByteChannel::Config hop_channel(const HopSpec& hop) {
-    return ByteChannel::Config::lossy(hop.loss, hop.delay_lo, hop.delay_hi, hop.corrupt_p);
-}
-
-net::NetConfig endpoint_config(const PathConfig& cfg, SimTime path_lifetime) {
-    net::NetConfig endpoint;
-    endpoint.w = cfg.w;
-    endpoint.link_lifetime = path_lifetime;
-    endpoint.ack_policy = cfg.ack_policy;
-    endpoint.enable_nak = cfg.enable_nak;
-    return endpoint;
+/// Both directions of one physical hop, drawing from RNG streams
+/// mix_seed(seed, stream) and stream + 1.
+std::unique_ptr<ChannelPair> make_hop(sim::Simulator& sim, const HopSpec& hop, std::uint64_t seed,
+                                      std::uint64_t stream) {
+    const auto channel = [&hop] {
+        return ByteChannel::Config::lossy(hop.loss, hop.delay_lo, hop.delay_hi, hop.corrupt_p);
+    };
+    return std::make_unique<ChannelPair>(sim, channel(), channel(), mix_seed(seed, stream),
+                                         mix_seed(seed, stream + 1));
 }
 
 SimTime path_lifetime(const PathConfig& cfg) {
@@ -31,25 +29,18 @@ SimTime path_lifetime(const PathConfig& cfg) {
 
 }  // namespace
 
-HopChannels::HopChannels(sim::Simulator& sim, const HopSpec& spec, std::uint64_t seed,
-                         std::uint64_t stream, const std::string& prefix, std::size_t index)
-    : forward_rng(mix_seed(seed, stream)),
-      reverse_rng(mix_seed(seed, stream + 1)),
-      forward(sim, forward_rng, hop_channel(spec), prefix + "f" + std::to_string(index)),
-      reverse(sim, reverse_rng, hop_channel(spec), prefix + "r" + std::to_string(index)) {}
-
 // -------------------------------------------------------------- EndToEndPath
 
 EndToEndPath::EndToEndPath(sim::Simulator& sim, PathConfig config) {
     BACP_ASSERT_MSG(!config.hops.empty(), "a path needs at least one hop");
     const std::size_t k = config.hops.size();
     for (std::size_t i = 0; i < k; ++i) {
-        hops_.push_back(
-            std::make_unique<HopChannels>(sim, config.hops[i], config.seed, 2 * i, "", i));
+        hops_.push_back(make_hop(sim, config.hops[i], config.seed, 2 * i));
     }
 
-    link_ = std::make_unique<SimLink>(sim, hops_.front()->forward, hops_.back()->reverse,
-                                      endpoint_config(config, path_lifetime(config)));
+    link_ = std::make_unique<SimLink>(
+        sim, hops_.front()->forward, hops_.back()->reverse,
+        link_config(config.w, path_lifetime(config), config.ack_policy, config.enable_nak));
 
     // Forward chain: hop i delivers into a relay feeding hop i+1; the last
     // hop delivers to the receiver.
@@ -90,10 +81,10 @@ HopByHopPath::HopByHopPath(sim::Simulator& sim, PathConfig config) {
     hops_.resize(k);
     for (std::size_t i = 0; i < k; ++i) {
         Hop& hop = hops_[i];
-        hop.channels = std::make_unique<HopChannels>(sim, config.hops[i], config.seed,
-                                                     100 + 2 * i, "h", i);
-        hop.link = std::make_unique<SimLink>(sim, hop.channels->forward, hop.channels->reverse,
-                                             endpoint_config(config, config.hops[i].delay_hi));
+        hop.channels = make_hop(sim, config.hops[i], config.seed, 100 + 2 * i);
+        hop.link = std::make_unique<SimLink>(
+            sim, hop.channels->forward, hop.channels->reverse,
+            link_config(config.w, config.hops[i].delay_hi, config.ack_policy, config.enable_nak));
         SimLink* link = hop.link.get();
         hop.channels->forward.set_receiver(
             [link](const ByteChannel::Frame& frame) { link->receiver().handle_datagram(frame); });

@@ -21,10 +21,8 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "link/byte_channel.hpp"
 #include "link/sim_link.hpp"
@@ -68,22 +66,6 @@ struct HopSpec {
     SimTime delay_hi = 2 * kMillisecond;
 };
 
-/// Both directions of one physical hop, each drawing loss and delay from
-/// its own RNG stream (mix_seed(seed, stream) and stream + 1).
-struct HopChannels {
-    /// The channels are named prefix + "f" / "r" + index.
-    HopChannels(sim::Simulator& sim, const HopSpec& spec, std::uint64_t seed,
-                std::uint64_t stream, const std::string& prefix, std::size_t index);
-
-    /// Frames placed on either direction.
-    std::uint64_t frames() const { return forward.stats().sent + reverse.stats().sent; }
-
-    Rng forward_rng;
-    Rng reverse_rng;
-    ByteChannel forward;  // upstream node -> downstream node
-    ByteChannel reverse;  // downstream node -> upstream node
-};
-
 struct PathConfig {
     Seq w = 16;
     std::vector<HopSpec> hops;           // at least one
@@ -121,7 +103,7 @@ public:
     std::uint64_t total_retransmissions() const override { return link_->retransmissions(); }
 
 private:
-    std::vector<std::unique_ptr<HopChannels>> hops_;   // hop i: node i <-> i+1
+    std::vector<std::unique_ptr<ChannelPair>> hops_;   // hop i: node i <-> i+1
     std::vector<std::unique_ptr<FrameRelay>> relays_;  // keep-alive storage
     std::unique_ptr<SimLink> link_;  // sender at node 0, receiver at node k
 };
@@ -142,7 +124,7 @@ public:
 
 private:
     struct Hop {
-        std::unique_ptr<HopChannels> channels;
+        std::unique_ptr<ChannelPair> channels;
         std::unique_ptr<SimLink> link;  // sender upstream, receiver downstream
     };
 

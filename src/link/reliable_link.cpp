@@ -6,13 +6,13 @@ namespace bacp::link {
 
 namespace {
 
+ByteChannel::Config channel_config(const ReliableLink::Config& cfg) {
+    return ByteChannel::Config::lossy(cfg.loss, cfg.delay_lo, cfg.delay_hi, cfg.corrupt_p);
+}
+
 net::NetConfig endpoint_config(const ReliableLink::Config& cfg) {
-    net::NetConfig endpoint;
-    endpoint.w = cfg.w;
-    endpoint.link_lifetime = cfg.delay_hi;
+    net::NetConfig endpoint = link_config(cfg.w, cfg.delay_hi, cfg.ack_policy, cfg.enable_nak);
     endpoint.timeout = cfg.timeout;
-    endpoint.ack_policy = cfg.ack_policy;
-    endpoint.enable_nak = cfg.enable_nak;
     endpoint.nak_threshold = cfg.nak_threshold;
     return endpoint;
 }
@@ -20,21 +20,11 @@ net::NetConfig endpoint_config(const ReliableLink::Config& cfg) {
 }  // namespace
 
 ReliableLink::ReliableLink(sim::Simulator& sim, Config config, LinkCore::Options options)
-    : rng_data_(runtime::mix_seed(config.seed, 0xd1)),
-      rng_ack_(runtime::mix_seed(config.seed, 0xac)),
-      data_ch_(sim, rng_data_,
-               ByteChannel::Config::lossy(config.loss, config.delay_lo, config.delay_hi,
-                                          config.corrupt_p),
-               "data"),
-      ack_ch_(sim, rng_ack_,
-              ByteChannel::Config::lossy(config.loss, config.delay_lo, config.delay_hi,
-                                         config.corrupt_p),
-              "ack"),
-      link_(sim, data_ch_, ack_ch_, endpoint_config(config), options) {
-    data_ch_.set_receiver(
-        [this](const ByteChannel::Frame& f) { link_.receiver().handle_datagram(f); });
-    ack_ch_.set_receiver(
-        [this](const ByteChannel::Frame& f) { link_.sender().handle_datagram(f); });
+    : ChannelPair(sim, channel_config(config), channel_config(config),
+                  runtime::mix_seed(config.seed, 0xd1), runtime::mix_seed(config.seed, 0xac)),
+      SimLink(sim, forward, reverse, endpoint_config(config), options) {
+    forward.set_receiver([this](const ByteChannel::Frame& f) { receiver().handle_datagram(f); });
+    reverse.set_receiver([this](const ByteChannel::Frame& f) { sender().handle_datagram(f); });
 }
 
 }  // namespace bacp::link

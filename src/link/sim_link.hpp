@@ -37,6 +37,7 @@
 #include "link/byte_channel.hpp"
 #include "link/link_core.hpp"
 #include "net/net_engine.hpp"
+#include "runtime/ack_policy.hpp"
 #include "sim/simulator.hpp"
 
 namespace bacp::link {
@@ -66,6 +67,20 @@ private:
 };
 
 using SimEndpoint = net::NetEndpoint<LinkCore, SimPort>;
+
+/// The endpoint configuration every DES link topology hands its
+/// SimLinks: the window, \p lifetime (the bound on one-way transit over
+/// the whole path), the ack policy and NAK fast retransmit.  Every other
+/// field keeps its NetConfig default.
+inline net::NetConfig link_config(Seq w, SimTime lifetime, runtime::AckPolicy ack_policy,
+                                  bool enable_nak) {
+    net::NetConfig cfg;
+    cfg.w = w;
+    cfg.link_lifetime = lifetime;
+    cfg.ack_policy = ack_policy;
+    cfg.enable_nak = enable_nak;
+    return cfg;
+}
 
 class SimLink {
 public:
@@ -119,7 +134,6 @@ public:
     std::uint64_t frames_rejected() const {
         return tx_.metrics().decode_errors + rx_.metrics().decode_errors;
     }
-    SimTime timeout_value() const { return tx_.timeout_value(); }
     /// Payloads the sending side holds for retransmission or queueing.
     std::size_t payloads_held() const { return store_.held(); }
 

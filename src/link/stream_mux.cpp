@@ -20,32 +20,29 @@ ByteChannel::Config data_config(const StreamMux::Config& cfg) {
 
 StreamMux::StreamMux(sim::Simulator& sim, Config config)
     : cfg_(std::move(config)),
-      rng_data_(runtime::mix_seed(cfg_.seed, 0xd1)),
-      rng_ack_(runtime::mix_seed(cfg_.seed, 0xac)),
-      data_ch_(sim, rng_data_, data_config(cfg_), "mux-data"),
       // Acks are small: no bottleneck modeled.
-      ack_ch_(sim, rng_ack_,
-              ByteChannel::Config::lossy(cfg_.loss, cfg_.delay_lo, cfg_.delay_hi, cfg_.corrupt_p),
-              "mux-ack") {
+      channels_(sim, data_config(cfg_),
+                ByteChannel::Config::lossy(cfg_.loss, cfg_.delay_lo, cfg_.delay_hi, cfg_.corrupt_p),
+                runtime::mix_seed(cfg_.seed, 0xd1), runtime::mix_seed(cfg_.seed, 0xac)) {
     BACP_ASSERT_MSG(cfg_.streams >= 1, "need at least one stream");
-    net::NetConfig endpoint;
-    endpoint.w = cfg_.w;
     // A frame can wait behind the shared bottleneck queue.
-    endpoint.link_lifetime =
+    const SimTime lifetime =
         cfg_.delay_hi + (cfg_.service_time > 0
                              ? cfg_.service_time * static_cast<SimTime>(cfg_.queue_capacity + 1)
                              : 0);
-    endpoint.ack_policy = cfg_.ack_policy;
-    endpoint.enable_nak = cfg_.enable_nak;
+    net::NetConfig endpoint = link_config(cfg_.w, lifetime, cfg_.ack_policy, cfg_.enable_nak);
     for (Seq id = 0; id < cfg_.streams; ++id) {
         endpoint.stream = id;
-        links_.push_back(std::make_unique<SimLink>(sim, data_ch_, ack_ch_, endpoint));
+        links_.push_back(
+            std::make_unique<SimLink>(sim, channels_.forward, channels_.reverse, endpoint));
         links_.back()->set_on_deliver([this, id](std::span<const std::uint8_t> payload) {
             if (on_deliver_) on_deliver_(id, payload);
         });
     }
-    data_ch_.set_receiver([this](const ByteChannel::Frame& f) { route(f, /*data=*/true); });
-    ack_ch_.set_receiver([this](const ByteChannel::Frame& f) { route(f, /*data=*/false); });
+    channels_.forward.set_receiver(
+        [this](const ByteChannel::Frame& f) { route(f, /*data=*/true); });
+    channels_.reverse.set_receiver(
+        [this](const ByteChannel::Frame& f) { route(f, /*data=*/false); });
 }
 
 void StreamMux::send(Seq stream, std::vector<std::uint8_t> payload) {

@@ -19,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "link/byte_channel.hpp"
 #include "link/sim_link.hpp"
@@ -61,8 +60,8 @@ public:
     bool idle() const;
     std::uint64_t retransmissions() const;
     std::uint64_t frames_misdirected() const { return misdirected_; }
-    const ByteChannelStats& data_stats() const { return data_ch_.stats(); }
-    const ByteChannelStats& ack_stats() const { return ack_ch_.stats(); }
+    const ByteChannelStats& data_stats() const { return channels_.forward.stats(); }
+    const ByteChannelStats& ack_stats() const { return channels_.reverse.stats(); }
 
 private:
     /// Hands a frame from the data path to its stream's receiving end
@@ -71,10 +70,7 @@ private:
     void route(const ByteChannel::Frame& frame, bool data);
 
     Config cfg_;
-    Rng rng_data_;
-    Rng rng_ack_;
-    ByteChannel data_ch_;
-    ByteChannel ack_ch_;
+    ChannelPair channels_;  // data forward, acks in reverse
     std::vector<std::unique_ptr<SimLink>> links_;
     DeliverFn on_deliver_;
     std::uint64_t misdirected_ = 0;

@@ -176,7 +176,10 @@ public:
     /// Per-session protocol counters, summed (allocates; not hot path).
     sim::Metrics protocol_metrics() const {
         sim::Metrics total;
-        for (const auto& m : members_) total.add_counters_from(m->sender.metrics());
+        for (const auto& m : members_) {
+            total.add_counters_from(m->sender.tx_metrics());
+            total.add_counters_from(m->sender.rx_metrics());
+        }
         return total;
     }
 

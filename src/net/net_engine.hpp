@@ -201,7 +201,8 @@ inline std::vector<std::uint8_t> pattern_payload(Seq seq, std::size_t size) {
 /// timers, a Transport below, and the tick's SendBatch.  Egress is staged
 /// onto the batch and flushed once per poll() (or per frame, when the
 /// configuration asks for unbatched sends); poll() is the event-loop
-/// body and must be called from one thread only.
+/// body and must be called from one thread only.  link::NetStreamMux
+/// polls its shared socket through a receive-only NetPort of its own.
 class NetPort {
 public:
     /// \p wheel is the endpoint's (and, when impaired, its Impairer's)
@@ -410,8 +411,6 @@ public:
     /// Every originated message sent and acknowledged, every expected
     /// arrival delivered.
     bool done() const { return duplex_.done(); }
-    bool tx_done() const { return duplex_.tx_done(); }
-    bool rx_done() const { return duplex_.rx_done(); }
 
     Seq delivered() const { return duplex_.delivered(); }
     std::uint64_t bytes_delivered() const { return bytes_delivered_; }
@@ -422,23 +421,23 @@ public:
     std::uint64_t piggybacked() const { return duplex_.piggybacked(); }
     std::uint64_t standalone_acks() const { return duplex_.standalone_acks(); }
 
+    const NetConfig& config() const { return cfg_; }
     TimerWheel& wheel() { return port_.wheel(); }
     /// The sending half, for its observers (sent_new, released,
     /// ack_cursor, first_sent_at).
     const auto& tx_driver() const { return duplex_.tx_driver(); }
-    SimTime timeout_value() const { return duplex_.timeout_value(); }
     const Core& tx_core() const { return duplex_.tx_core(); }
     const Core& rx_core() const { return duplex_.rx_core(); }
 
     /// Field-wise sum of both halves' counters, with the receiving
     /// half's delivery-latency histogram and the sending half's
-    /// ack-latency histogram riding along.  Recomputed per call into a
-    /// stable member, so the reference outlives the call.
-    const sim::Metrics& metrics() const {
-        merged_ = duplex_.tx_metrics();
-        merged_.add_counters_from(duplex_.rx_metrics());
-        merged_.latency = duplex_.rx_metrics().latency;
-        return merged_;
+    /// ack-latency histogram riding along.  Built per call; sums over
+    /// many endpoints read tx_metrics() and rx_metrics() instead.
+    sim::Metrics metrics() const {
+        sim::Metrics merged = duplex_.tx_metrics();
+        merged.add_counters_from(duplex_.rx_metrics());
+        merged.latency = duplex_.rx_metrics().latency;
+        return merged;
     }
     const sim::Metrics& tx_metrics() const { return duplex_.tx_metrics(); }
     const sim::Metrics& rx_metrics() const { return duplex_.rx_metrics(); }
@@ -601,7 +600,6 @@ private:
     std::vector<std::uint8_t> expected_scratch_;  // pattern verify, reused
     PayloadSource payload_source_;  // empty = pattern payloads
     DeliverSink deliver_sink_;      // empty = pattern verification
-    mutable sim::Metrics merged_;   // metrics() scratch
     runtime::DuplexDriver<Core, NetEndpoint> duplex_;  // last: uses members above
 };
 

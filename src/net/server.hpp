@@ -228,7 +228,7 @@ struct SessionView {
     std::uint64_t bytes_delivered = 0;
     std::uint64_t payload_mismatches = 0;
     Metrics transport;  // egress totals (+ impairment decisions if any)
-    const sim::Metrics* protocol = nullptr;  // driver counters; server-owned
+    sim::Metrics protocol;  // driver counters (NetEndpoint::metrics())
 };
 
 std::pair<std::vector<std::unique_ptr<UdpTransport>>, std::uint16_t> inline make_reuseport_shards(
@@ -392,26 +392,14 @@ public:
         return total;
     }
 
-    /// Per-session protocol counters, summed (live sessions).
+    /// Per-session protocol counters, summed over both halves of every
+    /// live session.
     sim::Metrics protocol_metrics() const {
         sim::Metrics total;
-        bool first = true;
         for (const auto& s : shards_) {
-            s->sessions.for_each([&](const SessionKey&, const Session& session) {
-                const sim::Metrics& m = session.endpoint->metrics();
-                if (first) {
-                    total = m;
-                    first = false;
-                } else {
-                    total.data_received += m.data_received;
-                    total.duplicates += m.duplicates;
-                    total.acks_sent += m.acks_sent;
-                    total.dup_acks += m.dup_acks;
-                    total.delivered += m.delivered;
-                    total.naks_sent += m.naks_sent;
-                    total.decode_errors += m.decode_errors;
-                    total.crc_errors += m.crc_errors;
-                }
+            s->sessions.for_each([&total](const SessionKey&, const Session& session) {
+                total.add_counters_from(session.endpoint->tx_metrics());
+                total.add_counters_from(session.endpoint->rx_metrics());
             });
         }
         return total;
@@ -431,7 +419,7 @@ public:
                 v.bytes_delivered = session.endpoint->bytes_delivered();
                 v.payload_mismatches = session.endpoint->payload_mismatches();
                 v.transport = session_transport(session);
-                v.protocol = &session.endpoint->metrics();
+                v.protocol = session.endpoint->metrics();
                 views.push_back(std::move(v));
             });
         }
@@ -461,7 +449,7 @@ public:
             out += ",\"transport\":";
             out += v.transport.to_json();
             out += ",\"protocol\":";
-            out += v.protocol->to_json();
+            out += v.protocol.to_json();
             out += "}";
         }
         out += "]}";

@@ -158,7 +158,6 @@ public:
 
     Seq delivered() const { return driver_rx_.delivered(); }
     Seq sent_new() const { return driver_tx_.sent_new(); }
-    SimTime timeout_value() const { return driver_tx_.timeout_value(); }
 
     /// Acks that rode a reverse DATA frame vs. egressed standalone.
     std::uint64_t piggybacked() const { return piggybacked_; }

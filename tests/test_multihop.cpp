@@ -31,8 +31,8 @@ struct PointToPoint {
     SimLink link;
 
     explicit PointToPoint(double loss, net::NetConfig cfg = {})
-        : forward(sim, fwd_rng, make_cfg(loss), "f"),
-          reverse(sim, rev_rng, make_cfg(loss), "r"),
+        : forward(sim, fwd_rng, make_cfg(loss)),
+          reverse(sim, rev_rng, make_cfg(loss)),
           link(sim, forward, reverse, cfg) {
         forward.set_receiver(
             [this](const ByteChannel::Frame& f) { link.receiver().handle_datagram(f); });

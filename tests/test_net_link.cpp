@@ -52,7 +52,8 @@ TEST(NetReliableLink, DuplexBytesBothDirectionsLossless) {
     net::TimerWheel wheel_b(clock);
     auto [ta, tb] = net::InprocTransport::make_pair();
 
-    NetReliableLink::Config cfg;
+    net::NetConfig cfg;
+    cfg.piggyback = true;
     cfg.w = 8;
     cfg.count = 20;
     cfg.rx_count = 20;
@@ -96,7 +97,8 @@ TEST(NetReliableLink, SurvivesImpairmentAndPiggybacks) {
     net::Impairer imp_a(*ta, wheel_a, spec, 71);
     net::Impairer imp_b(*tb, wheel_b, spec, 72);
 
-    NetReliableLink::Config cfg;
+    net::NetConfig cfg;
+    cfg.piggyback = true;
     cfg.w = 8;
     cfg.count = 40;
     cfg.rx_count = 40;
@@ -136,7 +138,8 @@ TEST(NetReliableLink, ReverseDataTakesTheBlockTheAckPolicyHolds) {
     net::TimerWheel wheel_b(clock);
     auto [ta, tb] = net::InprocTransport::make_pair();
 
-    NetReliableLink::Config cfg;
+    net::NetConfig cfg;
+    cfg.piggyback = true;
     cfg.w = 4;
     cfg.count = 1;
     cfg.rx_count = 1;
@@ -178,11 +181,12 @@ TEST(NetReliableLink, SendStoreHoldsAtMostWindowPlusQueue) {
     net::TimerWheel wheel_b(clock);
     auto [ta, tb] = net::InprocTransport::make_pair();
 
-    NetReliableLink::Config cfg;
+    net::NetConfig cfg;
+    cfg.piggyback = true;
     cfg.w = 8;
     cfg.count = kCount;
     cfg.link_lifetime = 1 * kMillisecond;
-    cfg.max_payload = 64;
+    cfg.payload_size = 64;
     NetReliableLink a(cfg, wheel_a, *ta);
     cfg.count = 0;
     cfg.rx_count = kCount;
@@ -227,14 +231,14 @@ TEST(NetStreamMux, IndependentStreamsOverOneSocket) {
     net::Impairer imp_a(*ta, wheel_a, spec, 81);
     net::Impairer imp_b(*tb, wheel_b, spec, 82);
 
-    NetStreamMux::Config cfg;
-    cfg.streams = 3;
+    net::NetConfig cfg;
+    cfg.piggyback = true;
     cfg.w = 4;
     cfg.count = 12;
     cfg.rx_count = 12;
     cfg.link_lifetime = 5 * kMillisecond;
-    NetStreamMux a(cfg, wheel_a, imp_a);
-    NetStreamMux b(cfg, wheel_b, imp_b);
+    NetStreamMux a(3, cfg, wheel_a, imp_a);
+    NetStreamMux b(3, cfg, wheel_b, imp_b);
 
     std::vector<std::vector<std::vector<std::uint8_t>>> at_b(3), at_a(3);
     a.set_on_deliver([&](Seq stream, std::span<const std::uint8_t> p) {
@@ -276,14 +280,14 @@ TEST(NetStreamMux, DeterministicFromSeed) {
         const net::ImpairSpec spec = net::ImpairSpec::lossy(0.08);
         net::Impairer imp_a(*ta, wheel_a, spec, seed);
         net::Impairer imp_b(*tb, wheel_b, spec, seed + 1);
-        NetStreamMux::Config cfg;
-        cfg.streams = 2;
+        net::NetConfig cfg;
+        cfg.piggyback = true;
         cfg.w = 4;
         cfg.count = 10;
         cfg.rx_count = 10;
         cfg.link_lifetime = 5 * kMillisecond;
-        NetStreamMux a(cfg, wheel_a, imp_a);
-        NetStreamMux b(cfg, wheel_b, imp_b);
+        NetStreamMux a(2, cfg, wheel_a, imp_a);
+        NetStreamMux b(2, cfg, wheel_b, imp_b);
         std::uint64_t trace = 0;
         b.set_on_deliver([&](Seq stream, std::span<const std::uint8_t> p) {
             trace = trace * 1315423911u + stream * 257 + p.size();
@@ -302,6 +306,72 @@ TEST(NetStreamMux, DeterministicFromSeed) {
     };
     EXPECT_EQ(run(5), run(5));
     EXPECT_NE(run(5), run(6));
+}
+
+
+// Golden replay of the net mux: three duplex streams over one impaired
+// InprocTransport pair, ManualClock time, fixed seeds.  Pins every
+// delivery instant per stream and direction, the datagrams each socket
+// end sent and the retransmissions, so any change to the mux's
+// configuration, its receive loop or the shared endpoint's decisions
+// shows up here.
+TEST(NetStreamMux, GoldenReplayThreeStreams) {
+    constexpr Seq kStreams = 3;
+    constexpr Seq kPerStream = 16;
+    net::ManualClock clock;
+    net::TimerWheel wheel_a(clock);
+    net::TimerWheel wheel_b(clock);
+    auto [ta, tb] = net::InprocTransport::make_pair();
+    const net::ImpairSpec spec = net::ImpairSpec::lossy(0.05);
+    net::Impairer imp_a(*ta, wheel_a, spec, 41);
+    net::Impairer imp_b(*tb, wheel_b, spec, 42);
+    net::NetConfig cfg;
+    cfg.piggyback = true;
+    cfg.w = 4;
+    cfg.count = kPerStream;
+    cfg.rx_count = kPerStream;
+    cfg.link_lifetime = 5 * kMillisecond;
+    cfg.seed = 7;
+    NetStreamMux a(kStreams, cfg, wheel_a, imp_a);
+    NetStreamMux b(kStreams, cfg, wheel_b, imp_b);
+    std::vector<std::vector<SimTime>> at_a(kStreams), at_b(kStreams);
+    a.set_on_deliver([&](Seq s, std::span<const std::uint8_t>) { at_a[s].push_back(clock.now()); });
+    b.set_on_deliver([&](Seq s, std::span<const std::uint8_t>) { at_b[s].push_back(clock.now()); });
+    a.start();
+    b.start();
+    for (Seq i = 0; i < kPerStream; ++i) {
+        for (Seq s = 0; s < kStreams; ++s) {
+            a.send(s, payload_for("ga", i));
+            b.send(s, payload_for("gb", i));
+        }
+    }
+    ASSERT_TRUE(drive(clock, wheel_a, wheel_b, a, b));
+    std::uint64_t retx = 0;
+    for (Seq s = 0; s < kStreams; ++s) {
+        retx += a.link(s).endpoint().tx_metrics().data_retx;
+        retx += b.link(s).endpoint().tx_metrics().data_retx;
+    }
+    EXPECT_EQ(ta->stats().datagrams_sent, 73u);
+    EXPECT_EQ(tb->stats().datagrams_sent, 78u);
+    EXPECT_EQ(retx, 8u);
+    const std::vector<std::vector<SimTime>> golden_b = {
+        {689859, 689859, 689859, 972341, 5943339, 5998421, 5998421, 5998421, 10622086, 10788169,
+         10788169, 10788169, 15398785, 15398785, 15398785, 15803662},
+        {798061, 798061, 798061, 798061, 5452216, 5822309, 5873268, 5873268, 10505974, 10897409,
+         23843604, 23843604, 23843604, 23843604, 28794195, 28794195},
+        {355084, 405005, 760046, 770003, 5473473, 5473473, 5473473, 5473473, 10668238, 10668238,
+         10668238, 10668238, 31602969, 31836757, 32195028, 32195028},
+    };
+    const std::vector<std::vector<SimTime>> golden_a = {
+        {744035, 768920, 768920, 768920, 5982407, 5982407, 5982407, 5982407, 10317829, 10317829,
+         10992789, 23899627, 23899627, 23899627, 23899627, 28762925},
+        {775407, 775407, 775407, 842860, 5831727, 5831727, 5839349, 18771948, 18771948, 18771948,
+         18771948, 23776562, 23776562, 23776562, 23776562, 28273258},
+        {745962, 745962, 851363, 851363, 5271065, 5704653, 5704653, 5704653, 10694698, 10915593,
+         10915593, 10915593, 15983745, 15983745, 15983745, 15983745},
+    };
+    EXPECT_EQ(at_b, golden_b);
+    EXPECT_EQ(at_a, golden_a);
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ TEST(Server, MultiSessionTransfersComplete) {
         EXPECT_EQ(v.delivered, kCount);
         EXPECT_EQ(v.bytes_delivered, kCount * 64u);
         EXPECT_EQ(v.payload_mismatches, 0u);
-        EXPECT_EQ(v.protocol->delivered, kCount);
+        EXPECT_EQ(v.protocol.delivered, kCount);
     }
 
     // Aggregate protocol view sums the per-session counters.
@@ -155,6 +155,36 @@ TEST(Server, MultiSessionTransfersComplete) {
     const Metrics transport = server.transport_metrics();
     EXPECT_GT(transport.datagrams_sent, 0u);
     EXPECT_GE(transport.datagrams_received, kCount * kSessions);
+}
+
+TEST(Server, ProtocolMetricsSumEveryDuplexSession) {
+    // Duplex sessions originate data too (session.count > 0), so every
+    // sending-side counter must sum across sessions, not only the
+    // receiving-side ones.
+    ManualClock clock;
+    InprocHub hub;
+    constexpr Seq kCount = 20;
+    constexpr std::size_t kSessions = 3;
+    ServerConfig scfg = server_config();
+    scfg.session.count = kCount;
+    Server<Core> server(scfg, {}, clock, {&hub.server()});
+
+    std::vector<Client> clients;
+    for (std::size_t i = 0; i < kSessions; ++i) {
+        NetConfig cfg = client_config(kCount, wire::Conn{static_cast<Seq>(i + 1), 1});
+        cfg.rx_count = kCount;
+        clients.push_back(make_client(hub, clock, cfg));
+    }
+    drive(clock, server, raw(clients));
+
+    for (Client& c : clients) EXPECT_TRUE(c.sender->done());
+    ASSERT_EQ(server.session_count(), kSessions);
+    const sim::Metrics total = server.protocol_metrics();
+    EXPECT_EQ(total.data_new, kSessions * kCount);
+    EXPECT_EQ(total.delivered, kSessions * kCount);
+    std::uint64_t acks_received = 0;
+    for (const SessionView& v : server.sessions()) acks_received += v.protocol.acks_received;
+    EXPECT_EQ(total.acks_received, acks_received);
 }
 
 TEST(Server, UntaggedV1PeerMapsToConnZeroAndGetsV1Replies) {
@@ -560,7 +590,7 @@ TEST(Server, ImpairmentSeedEquivalentToSingleSessionRun) {
         drive(clock, server, raw(clients));
         for (Client& c : clients) EXPECT_TRUE(c.sender->done());
         for (const SessionView& v : server.sessions()) {
-            if (v.conn == probe) return std::make_pair(*v.protocol, v.transport);
+            if (v.conn == probe) return std::make_pair(v.protocol, v.transport);
         }
         ADD_FAILURE() << "probe session missing";
         return std::make_pair(sim::Metrics{}, Metrics{});
