@@ -35,7 +35,8 @@ void BM_Crc32c(benchmark::State& state) {
     }
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(64)->Arg(1024)->Arg(65536);
+// 270 and 530 B are the frame sizes of perfbench's des and bulk workloads.
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(270)->Arg(530)->Arg(1024)->Arg(65536);
 
 void BM_EncodeData(benchmark::State& state) {
     std::vector<std::uint8_t> payload(static_cast<std::size_t>(state.range(0)), 0xab);

@@ -61,6 +61,13 @@ wait "$DUPLEX_PEER"
 echo "== bench smoke: E20 steady-state alloc gate (budget 0) =="
 (cd "$BUILD_DIR"/bench && ./bench_e20_des_throughput --quick --check-budget 0)
 
+# Micro-benchmark smoke: E10's CRC-32C kernel and codec rows, run briefly
+# so the dispatched kernel executes under every build this script makes.
+# No timing is checked; a crash or a sanitizer report fails the script.
+echo "== bench smoke: E10 CRC-32C + codec micro-benchmarks =="
+"$BUILD_DIR"/bench/bench_e10_micro --benchmark_filter='Crc32c|EncodeData|DecodeData' \
+    --benchmark_min_time=0.01
+
 # Batch transport gates.  E19 asserts the engine-level syscall
 # amortization (>= 8 datagrams per sendmmsg on the clean batched path);
 # E21 asserts the zero-alloc receive arena (0 steady-state allocations

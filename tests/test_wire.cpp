@@ -148,6 +148,100 @@ TEST(Crc32, IncrementalMatchesWhole) {
     EXPECT_EQ(combined, whole);
 }
 
+// Bit-at-a-time CRC-32C, straight from the definition: the reference every
+// kernel is held to.
+std::uint32_t crc32c_bitwise(std::span<const std::uint8_t> data, std::uint32_t seed = 0) {
+    std::uint32_t crc = ~seed;
+    for (const std::uint8_t byte : data) {
+        crc ^= byte;
+        for (int bit = 0; bit < 8; ++bit) {
+            crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+        }
+    }
+    return ~crc;
+}
+
+using Crc32Fn = std::uint32_t (*)(std::span<const std::uint8_t>, std::uint32_t);
+
+// The dispatched kernel (SSE4.2 where the CPU has it) and the portable one.
+struct Crc32Kernel {
+    const char* name;
+    Crc32Fn fn;
+};
+constexpr Crc32Kernel kCrc32Kernels[] = {{"dispatched", &crc32c},
+                                         {"portable", &detail::crc32c_portable}};
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::uint8_t> out(n);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+    return out;
+}
+
+TEST(Crc32, Rfc3720KnownAnswers) {
+    // RFC 3720 appendix B.4.
+    std::vector<std::uint8_t> ascending(32);
+    std::vector<std::uint8_t> descending(32);
+    for (std::size_t i = 0; i < 32; ++i) {
+        ascending[i] = static_cast<std::uint8_t>(i);
+        descending[i] = static_cast<std::uint8_t>(31 - i);
+    }
+    for (const auto& k : kCrc32Kernels) {
+        SCOPED_TRACE(k.name);
+        EXPECT_EQ(k.fn(std::vector<std::uint8_t>(32, 0x00), 0), 0x8A9136AAu);
+        EXPECT_EQ(k.fn(std::vector<std::uint8_t>(32, 0xff), 0), 0x62A8AB43u);
+        EXPECT_EQ(k.fn(ascending, 0), 0x46DD794Eu);
+        EXPECT_EQ(k.fn(descending, 0), 0x113FDB5Cu);
+    }
+}
+
+TEST(Crc32, EveryLengthAndSeedMatchesBitwise) {
+    // Lengths 0..2100 cover every 1-7 byte tail after any number of 8-byte
+    // steps; each length runs from seed 0 and from a random seed.
+    const auto data = random_bytes(2100, 11);
+    const std::span<const std::uint8_t> view(data);
+    Rng seeds(12);
+    for (std::size_t len = 0; len <= data.size(); ++len) {
+        const auto prefix = view.first(len);
+        const auto seed = static_cast<std::uint32_t>(seeds());
+        const auto want_zero = crc32c_bitwise(prefix);
+        const auto want_seeded = crc32c_bitwise(prefix, seed);
+        for (const auto& k : kCrc32Kernels) {
+            ASSERT_EQ(k.fn(prefix, 0), want_zero) << k.name << " len " << len;
+            ASSERT_EQ(k.fn(prefix, seed), want_seeded) << k.name << " len " << len;
+        }
+    }
+}
+
+TEST(Crc32, UnalignedStartsMatchBitwise) {
+    const auto data = random_bytes(600, 13);
+    const std::span<const std::uint8_t> view(data);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (const std::size_t len : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                                      std::size_t{9}, std::size_t{63}, std::size_t{270},
+                                      std::size_t{530}, data.size() - offset}) {
+            const auto slice = view.subspan(offset, len);
+            const auto want = crc32c_bitwise(slice);
+            for (const auto& k : kCrc32Kernels) {
+                ASSERT_EQ(k.fn(slice, 0), want)
+                    << k.name << " offset " << offset << " len " << len;
+            }
+        }
+    }
+}
+
+TEST(Crc32, IncrementalSplitAtEveryOffsetOfABulkFrame) {
+    const auto frame = random_bytes(530, 14);  // the size of a bulk DATA frame
+    const std::span<const std::uint8_t> view(frame);
+    const auto whole = crc32c_bitwise(view);
+    for (const auto& k : kCrc32Kernels) {
+        for (std::size_t split = 0; split <= frame.size(); ++split) {
+            const auto first = k.fn(view.first(split), 0);
+            ASSERT_EQ(k.fn(view.subspan(split), first), whole) << k.name << " split " << split;
+        }
+    }
+}
+
 // ------------------------------------------------------------------ codec --
 
 TEST(Codec, DataRoundTrip) {
