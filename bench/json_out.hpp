@@ -7,6 +7,9 @@
 // what a results file needs (objects, arrays, strings, numbers, bools)
 // -- and lives here rather than in src/ because only benches speak it.
 
+#include <sys/utsname.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "net/offload.hpp"
 #include "workload/report.hpp"
 
 namespace bacp::bench {
@@ -146,14 +150,55 @@ Json counters_json(const Counters& counters) {
     return obj;
 }
 
+/// The checkout the bench runs from: the full SHA of the working
+/// directory's HEAD, suffixed "-dirty" when the tree has uncommitted
+/// changes, or "unknown" outside a git work tree.
+inline std::string source_commit() {
+    std::string out;
+    const char* cmd = "git describe --always --dirty --abbrev=40 --exclude='*' 2>/dev/null";
+    if (FILE* pipe = ::popen(cmd, "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+        ::pclose(pipe);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+    return out.empty() ? "unknown" : out;
+}
+
+/// Where a results file came from: commit, compiler, kernel, CPU count,
+/// and the kernel-offload tiers this kernel supports (each tier that
+/// net::resolve_offload() keeps as requested) plus the one Auto picks.
+/// The same provenance perfbench's driver notes.
+inline Json provenance() {
+    utsname u{};
+    ::uname(&u);
+    std::string tiers;
+    for (const net::OffloadMode mode :
+         {net::OffloadMode::Mmsg, net::OffloadMode::Gso, net::OffloadMode::Uring}) {
+        if (net::resolve_offload(mode) != mode) continue;
+        if (!tiers.empty()) tiers += ' ';
+        tiers += net::offload_mode_name(mode);
+    }
+    return Json::object()
+        .set("commit", Json::str(source_commit()))
+        .set("compiler", Json::str(std::string("g++ ") + __VERSION__))
+        .set("kernel", Json::str(std::string(u.sysname) + " " + u.release + " " + u.machine))
+        .set("nproc", Json::num(static_cast<std::int64_t>(::sysconf(_SC_NPROCESSORS_ONLN))))
+        .set("offload_tiers", Json::str(tiers))
+        .set("offload_auto", Json::str(net::offload_mode_name(
+                                 net::resolve_offload(net::OffloadMode::Auto))));
+}
+
 /// Accumulates an experiment's tables and metadata, then writes
 /// BENCH_<name>.json and BENCH_<name>.csv side by side.  CSV holds the
 /// tables verbatim (sections separated by "# <title>" comment lines);
-/// JSON carries the same cells plus the typed metadata.
+/// JSON carries the same cells plus the typed metadata, which always
+/// opens with the provenance() stamp under "stamp".
 class BenchOutput {
 public:
     explicit BenchOutput(std::string name) : name_(std::move(name)) {
         meta_ = Json::object();
+        meta_.set("stamp", provenance());
         tables_ = Json::array();
     }
 

@@ -10,8 +10,13 @@ namespace bacp {
 
 Histogram::Histogram(unsigned sub_bits) : sub_bits_(sub_bits) {
     BACP_ASSERT_MSG(sub_bits >= 1 && sub_bits <= 10, "sub_bits in [1,10]");
+}
+
+void Histogram::ensure_buckets() {
     // 64 exponent ranges x 2^sub_bits sub-buckets covers all uint64 values.
-    buckets_.assign(static_cast<std::size_t>(64 - sub_bits_ + 1) << sub_bits_, 0);
+    if (buckets_.empty()) {
+        buckets_.assign(static_cast<std::size_t>(64 - sub_bits_ + 1) << sub_bits_, 0);
+    }
 }
 
 std::size_t Histogram::bucket_index(std::uint64_t value) const {
@@ -35,6 +40,7 @@ std::uint64_t Histogram::bucket_upper(std::size_t idx) const {
 void Histogram::add(std::int64_t value) {
     const std::uint64_t v = value < 0 ? 0 : static_cast<std::uint64_t>(value);
     const std::size_t idx = bucket_index(v);
+    ensure_buckets();
     BACP_ASSERT(idx < buckets_.size());
     ++buckets_[idx];
     if (count_ == 0) {
@@ -65,11 +71,11 @@ std::int64_t Histogram::quantile(double q) const {
 
 void Histogram::merge(const Histogram& other) {
     BACP_ASSERT_MSG(sub_bits_ == other.sub_bits_, "histogram precision mismatch");
+    if (other.count_ == 0) return;  // also skips a reset histogram's zeroed buckets
+    ensure_buckets();
     for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-    if (other.count_ > 0) {
-        min_ = count_ ? std::min(min_, other.min_) : other.min_;
-        max_ = count_ ? std::max(max_, other.max_) : other.max_;
-    }
+    min_ = count_ ? std::min(min_, other.min_) : other.min_;
+    max_ = count_ ? std::max(max_, other.max_) : other.max_;
     count_ += other.count_;
     sum_ += other.sum_;
 }

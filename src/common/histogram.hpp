@@ -4,8 +4,16 @@
 /// Log-bucketed histogram for latency-style distributions.
 ///
 /// Values are binned into power-of-two buckets subdivided linearly, giving
-/// a bounded relative error (HdrHistogram-style) with a tiny footprint.
-/// Quantile queries interpolate within the winning bucket.
+/// a bounded relative error (HdrHistogram-style).  Quantile queries
+/// interpolate within the winning bucket.
+///
+/// The bucket array ((64 - sub_bits + 1) << sub_bits counters, 15 KiB at
+/// the default precision) is allocated on the first add(), or the first
+/// merge() of a non-empty histogram, and never grows or shrinks after
+/// that -- so recording stays allocation-free once a histogram has seen
+/// one value, and a histogram that is never fed costs only its header.
+/// Every endpoint driver carries two (delivery and ack latency) and most
+/// sessions feed at most one of them.
 
 #include <cstdint>
 #include <string>
@@ -44,9 +52,11 @@ private:
     std::size_t bucket_index(std::uint64_t value) const;
     /// Representative (upper-edge) value of bucket \p idx.
     std::uint64_t bucket_upper(std::size_t idx) const;
+    /// Allocates the zeroed bucket array if this histogram has none yet.
+    void ensure_buckets();
 
     unsigned sub_bits_;
-    std::vector<std::uint64_t> buckets_;
+    std::vector<std::uint64_t> buckets_;  // empty until first use
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     std::int64_t min_ = 0;

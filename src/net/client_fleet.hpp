@@ -16,7 +16,10 @@
 ///
 /// Sessions never touch a socket themselves: they are driven through
 /// NetEndpoint::handle_frame(), so their lazy receive arenas are never
-/// built and per-session memory stays at the protocol state proper.
+/// built.  A member holds its endpoint (driver, cores and port, about
+/// 4 KiB), a two-frame send slab, and the buckets of the one latency
+/// histogram it feeds, its ack latency (15 KiB): about 21 KiB at w=2
+/// (tests/test_session_footprint.cpp).
 /// Connection ids are dense (first_conn .. first_conn + sessions - 1),
 /// making demux an index, not a hash.
 ///

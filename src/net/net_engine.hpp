@@ -220,13 +220,20 @@ public:
         if (cfg.count > 0) timers += static_cast<std::size_t>(cfg.w) + 4;
         if (cfg.piggyback) timers += 1;
         wheel_.reserve(timers);
-        // One tick can stage a timeout burst of DATA, the acks provoked
-        // by a full receive arena, and the retransmissions those acks
-        // release -- all before the poll's flush; size the batch builder
-        // for that now rather than letting it creep to high water
-        // mid-run.
-        batch_cap_ = 4 * static_cast<std::size_t>(cfg.w) + 32;
+        // Size the batch builder for the largest burst it can hold, now
+        // rather than letting it creep to high water mid-run.
+        batch_cap_ = burst_frames(cfg);
         tx_batch_.reserve(batch_cap_, batch_cap_ * (cfg.payload_size + 128));
+    }
+
+    /// Frames staged between two flushes at most.  Unbatched sending
+    /// flushes after every protocol step, and the biggest step is a
+    /// wrapped ack split into two frames.  Batched, one tick can stage a
+    /// timeout burst of DATA, the acks provoked by a full receive arena,
+    /// and the retransmissions those acks release -- all before the
+    /// poll's flush.
+    static std::size_t burst_frames(const NetConfig& cfg) {
+        return cfg.effective_batch() <= 1 ? 2 : 4 * static_cast<std::size_t>(cfg.w) + 32;
     }
 
     TimerService& timer_service() { return wheel_; }

@@ -106,9 +106,10 @@ struct ServerConfig {
     std::size_t max_sessions = 1 << 16;
     /// Per-shard session-memory budget in bytes (0 = uncapped).  The
     /// effective shard cap is min(max_sessions, budget / footprint)
-    /// where the footprint counts the session record, driver, and the
-    /// w-sized payload stash -- out-of-order caching is a budgeted
-    /// resource, not an implicit per-session given.
+    /// where the footprint counts the session record, driver, send slab,
+    /// fed latency histograms and the w-sized payload stash --
+    /// out-of-order caching is a budgeted resource, not an implicit
+    /// per-session given.
     std::size_t arena_budget = 0;
     /// At the cap, evict the least-recently-active session to admit a
     /// new peer (LRU-ish, sampled) instead of rejecting it.
@@ -640,16 +641,27 @@ private:
         return s.evict_scratch.size();
     }
 
-    /// Estimated resident bytes per session: the slab record, the
-    /// driver/endpoint adapter, and the dominant term -- the w-sized
-    /// out-of-order payload stash (w+1 parked buffers).  Timer nodes
-    /// ride on the shared wheel (~4 per session).  An estimate, not an
+    /// Estimated heap bytes per session: the slab record, the endpoint
+    /// (driver, cores, port) and its egress, the w-sized out-of-order
+    /// payload stash (w+1 parked buffers), the port's send slab, and ~4
+    /// timer nodes on the shared wheel.  Of the four latency histograms
+    /// an endpoint carries, only the sending half's ack-latency one is
+    /// ever fed, so only a session that originates data (count > 0)
+    /// allocates buckets: (64 - 5 + 1) << 5 counters at sim::Metrics'
+    /// 5 sub-bits (common/histogram.hpp).  An estimate, not an
     /// accounting: the budget steers the cap, the cap is exact.
+    /// tests/test_session_footprint.cpp holds it within 2x of the bytes
+    /// a session allocates.
     std::size_t session_footprint() const {
         const std::size_t w = static_cast<std::size_t>(cfg_.session.w);
+        const std::size_t payload = cfg_.session.payload_size;
+        NetConfig port_cfg = cfg_.session;
+        port_cfg.batch = 1;  // as attach_endpoint() runs it
+        const std::size_t histograms =
+            cfg_.session.count > 0 ? (std::size_t{64 - 5 + 1} << 5) * sizeof(std::uint64_t) : 0;
         return sizeof(Session) + sizeof(NetEndpoint<Core>) + sizeof(SessionEgress) +
-               (w + 1) * (cfg_.session.payload_size + sizeof(std::vector<std::uint8_t>)) +
-               4 * 128;
+               (w + 1) * (payload + sizeof(std::vector<std::uint8_t>)) +
+               NetPort::burst_frames(port_cfg) * (payload + 128) + histograms + 4 * 128;
     }
 
     std::size_t shard_session_cap() const {

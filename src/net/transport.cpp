@@ -93,7 +93,7 @@ struct UdpTransport::Scratch {
         std::size_t seg = 0;  // UDP_GRO segment size; 0 = not coalesced
         PeerAddr peer;
     };
-    std::vector<std::uint8_t> gro_slab;  // gro_slots x kGroBufferBytes
+    std::unique_ptr<std::uint8_t[]> gro_slab;  // gro_slots x kGroBufferBytes, uninitialized
     std::vector<::mmsghdr> gro_hdrs;
     std::vector<::iovec> gro_iovs;
     std::vector<::sockaddr_in> gro_addrs;
@@ -129,7 +129,9 @@ struct UdpTransport::Scratch {
     /// arena so staging memory tracks the arena's own footprint.
     void shape_gro(std::size_t slots) {
         gro_slots = slots;
-        gro_slab.assign(slots * kGroBufferBytes, 0);
+        // Uninitialized, like RecvBatch's slab: the kernel writes every
+        // byte a drain reads, so untouched pages never become resident.
+        gro_slab = std::make_unique_for_overwrite<std::uint8_t[]>(slots * kGroBufferBytes);
         gro_hdrs.resize(slots);
         gro_iovs.resize(slots);
         gro_addrs.resize(slots);
@@ -137,7 +139,7 @@ struct UdpTransport::Scratch {
         gro_meta.resize(slots);
         for (std::size_t i = 0; i < slots; ++i) {
             std::memset(&gro_hdrs[i], 0, sizeof(gro_hdrs[i]));
-            gro_iovs[i].iov_base = gro_slab.data() + i * kGroBufferBytes;
+            gro_iovs[i].iov_base = gro_slab.get() + i * kGroBufferBytes;
             gro_iovs[i].iov_len = kGroBufferBytes;
             gro_hdrs[i].msg_hdr.msg_iov = &gro_iovs[i];
             gro_hdrs[i].msg_hdr.msg_iovlen = 1;
@@ -568,7 +570,7 @@ void UdpTransport::drain_gro_staging(RecvBatch& batch) {
     Scratch& sc = *scratch_;
     while (sc.gro_count > 0 && batch.size() < batch.capacity()) {
         const Scratch::GroBuf& gb = sc.gro_meta[sc.gro_idx];
-        const std::uint8_t* base = sc.gro_slab.data() + sc.gro_idx * kGroBufferBytes;
+        const std::uint8_t* base = sc.gro_slab.get() + sc.gro_idx * kGroBufferBytes;
         const std::size_t remaining = gb.len - sc.gro_off;
         const std::size_t take = gb.seg == 0 ? remaining : std::min(remaining, gb.seg);
         const std::span<std::uint8_t> slot = batch.slot(batch.size());

@@ -74,7 +74,11 @@ struct PeerAddr {
 /// per datagram.  All memory is allocated at construction (or on an
 /// explicit reshape()); filling and draining it is allocation-free, which
 /// is what lets the steady-state receive path run at exactly zero heap
-/// allocations per datagram (gated by bench_e21 --check-budget).
+/// allocations per datagram (gated by bench_e21 --check-budget).  The
+/// slab is left uninitialized: only bytes a transport writes are ever
+/// read back, so a page of it becomes resident only when a datagram
+/// first lands there (a w=512 arena at the UDP maximum is 33.5 MB of
+/// address space, mostly never touched).
 ///
 /// Slots are fixed-stride: datagram i occupies bytes
 /// [i * max_datagram, i * max_datagram + len[i]).  The stride makes the
@@ -93,7 +97,7 @@ public:
     void reshape(std::size_t capacity, std::size_t max_datagram = kMaxDatagram) {
         capacity_ = capacity > 0 ? capacity : 1;
         max_datagram_ = max_datagram > 0 ? max_datagram : 1;
-        slab_.assign(capacity_ * max_datagram_, 0);
+        slab_ = std::make_unique_for_overwrite<std::uint8_t[]>(capacity_ * max_datagram_);
         lens_.assign(capacity_, 0);
         peers_.assign(capacity_, PeerAddr{});
         size_ = 0;
@@ -107,7 +111,7 @@ public:
 
     /// Datagram \p i of the last recv_batch().  Precondition: i < size().
     std::span<const std::uint8_t> operator[](std::size_t i) const {
-        return {slab_.data() + i * max_datagram_, lens_[i]};
+        return {slab_.get() + i * max_datagram_, lens_[i]};
     }
 
     /// Source address of datagram \p i, when the transport records one
@@ -119,12 +123,12 @@ public:
 
     /// Writable region of the next free slot (max_datagram bytes).
     std::span<std::uint8_t> next_slot() {
-        return {slab_.data() + size_ * max_datagram_, max_datagram_};
+        return {slab_.get() + size_ * max_datagram_, max_datagram_};
     }
 
     /// Writable region of slot \p i; recvmmsg points one iovec at each.
     std::span<std::uint8_t> slot(std::size_t i) {
-        return {slab_.data() + i * max_datagram_, max_datagram_};
+        return {slab_.get() + i * max_datagram_, max_datagram_};
     }
 
     /// Marks the next slot as holding \p len received bytes from \p peer.
@@ -137,7 +141,7 @@ public:
     }
 
 private:
-    std::vector<std::uint8_t> slab_;
+    std::unique_ptr<std::uint8_t[]> slab_;  // uninitialized; see class comment
     std::vector<std::size_t> lens_;
     std::vector<PeerAddr> peers_;
     std::size_t capacity_ = 0;

@@ -102,8 +102,8 @@ struct Metrics {
 
     /// Sum every tabled protocol counter of `o` into this record.  Times
     /// and histograms are left alone -- merge those by hand where the
-    /// aggregation semantics are known (e.g. ClientFleet keeps its own
-    /// merged ack-latency histogram).
+    /// aggregation semantics are known (e.g. bench_e22 merges its
+    /// clients' ack-latency histograms).
     void add_counters_from(const Metrics& o) { add_counters(*this, o, kCounters); }
 
     /// Flat JSON object of every counter.
