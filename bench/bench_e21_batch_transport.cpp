@@ -5,15 +5,12 @@
 //
 //   1. What does sendmmsg/recvmmsg amortization buy at the socket
 //      boundary?  An offered-load sweep blasts a fixed byte volume over
-//      loopback UDP through three shapes of the same traffic: the
-//      pre-batch API reproduced from the seed (one send syscall per
-//      datagram, one ::recv into a freshly allocated-and-zeroed 64 KiB
-//      vector per receive), a batch-of-one (send_batch/recv_batch driven
-//      one datagram at a time -- what the late single-shot shims cost
-//      before they were removed), and send_batch/recv_batch at burst
-//      8..128.  Reported per point: goodput, datagrams per syscall,
-//      allocations.  The headline compares the highest offered-load
-//      batched point against the pre-batch baseline.
+//      loopback UDP through two shapes of the same traffic: a
+//      batch-of-one (send_batch/recv_batch driven one datagram at a
+//      time -- what the late single-shot shims cost before they were
+//      removed) and send_batch/recv_batch at burst 8..128.  Reported per
+//      point: goodput, datagrams per syscall, allocations.  The headline
+//      compares the best batched mmsg point against the batch-of-one.
 //
 //   2. Does the zero-alloc receive claim hold?  The steady-state half of
 //      each blast runs under the counting allocator hook (same hook as
@@ -23,14 +20,13 @@
 //      the CI gate (--check-budget), stable on shared runners where
 //      wall-clock numbers are not.
 //
-//   3. What do the kernel offload tiers add on top of batching?  The UDP
-//      sweep runs as a three-way ladder over the same bursts: the
-//      portable sendmmsg/recvmmsg baseline, GSO+GRO (one 64 KiB
-//      super-datagram per syscall each way), and the io_uring multishot
-//      receive (GSO send, zero recv syscalls in the steady state).
-//      Tiers the running kernel cannot do are reported as the tier they
-//      fell back to, never skipped silently.  The headline compares the
-//      best point of each achieved tier.
+//   3. What does the kernel offload tier add on top of batching?  The
+//      UDP sweep runs as a two-tier ladder over the same bursts: the
+//      portable sendmmsg/recvmmsg baseline and GSO+GRO (one 64 KiB
+//      super-datagram per syscall each way).  A tier the running kernel
+//      cannot do is reported as the tier it fell back to, never skipped
+//      silently.  The headline compares the best point of each achieved
+//      tier.
 //
 //   --quick            smaller blast (CI smoke; same gate)
 //   --check-budget X   exit nonzero when steady-state allocs per received
@@ -39,15 +35,12 @@
 //                      goodput falls below the mmsg baseline; soft-skips
 //                      (exit 0, says so) when the kernel lacks GSO+GRO
 
-#include <sys/socket.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -141,31 +134,12 @@ struct BlastResult {
     }
 };
 
-/// How the receive side is driven.
-enum class Path {
-    OldApi,   // the seed's pre-batch receive, reproduced byte for byte:
-              // one ::recv(2) into a freshly value-initialized
-              // kMaxDatagram vector per call (alloc + 64 KiB zeroing +
-              // syscall per datagram) -- the "before" this PR replaces
-    Shim,     // batch-of-one: the batch API driven one datagram at a
-              // time (the removed single-shot shims, reproduced exactly)
-    Batched,  // send_batch/recv_batch at the row's burst size
-};
-
-/// The seed implementation of UdpTransport::recv(), preserved here as
-/// the baseline after the transport itself moved on.
-std::optional<std::vector<std::uint8_t>> old_api_recv(int fd) {
-    std::vector<std::uint8_t> buf(kMaxDatagram);
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n < 0) return std::nullopt;
-    buf.resize(static_cast<std::size_t>(n));
-    return buf;
-}
-
 /// Moves g_datagrams of kPayload bytes from \p tx to \p rx in bursts,
 /// alternating one send sweep with a full drain (loopback delivery is
-/// synchronous, so nothing is in flight across iterations).
-BlastResult blast(Transport& tx, Transport& rx, std::size_t burst, Path path) {
+/// synchronous, so nothing is in flight across iterations).  Burst 1 is
+/// the batch-of-one shim: one datagram per send_batch, drained through a
+/// capacity-1 arena.
+BlastResult blast(Transport& tx, Transport& rx, std::size_t burst) {
     BlastResult out;
     const Metrics tx_before = tx.stats();
     const Metrics rx_before = rx.stats();
@@ -176,37 +150,17 @@ BlastResult blast(Transport& tx, Transport& rx, std::size_t burst, Path path) {
     }
     std::vector<std::span<const std::uint8_t>> spans(burst, std::span(payload));
     RecvBatch batch(burst, kMaxDatagram);
-    const std::span<const std::uint8_t> single[] = {std::span(payload)};
-    RecvBatch one_slot(1, kMaxDatagram);  // Path::Shim capacity-1 arena
 
     const std::size_t half = g_datagrams / 2;
     std::uint64_t allocs_at_half = 0;
     std::size_t received_at_half = 0;
-    std::uint64_t old_api_received = 0;  // stats_ can't see the raw path
 
     const double start = now_sec();
     while (out.sent < g_datagrams) {
         const std::size_t chunk = std::min(burst, g_datagrams - out.sent);
-        switch (path) {
-            case Path::OldApi:
-                tx.send_batch(single);
-                out.sent += 1;
-                while (old_api_recv(rx.fd())) {
-                    ++out.received;
-                    ++old_api_received;
-                }
-                break;
-            case Path::Shim:
-                tx.send_batch(single);
-                out.sent += 1;
-                while (rx.recv_batch(one_slot) > 0) ++out.received;
-                break;
-            case Path::Batched:
-                tx.send_batch(std::span(spans.data(), chunk));
-                out.sent += chunk;
-                while (rx.recv_batch(batch) > 0) out.received += batch.size();
-                break;
-        }
+        tx.send_batch(std::span(spans.data(), chunk));
+        out.sent += chunk;
+        while (rx.recv_batch(batch) > 0) out.received += batch.size();
         if (allocs_at_half == 0 && out.sent >= half) {
             allocs_at_half = allocs_now();
             received_at_half = out.received;
@@ -230,26 +184,16 @@ BlastResult blast(Transport& tx, Transport& rx, std::size_t burst, Path path) {
     out.rx.bytes_received -= rx_before.bytes_received;
     out.rx.gro_recvs -= rx_before.gro_recvs;
     out.rx.gro_segments -= rx_before.gro_segments;
-    out.rx.uring_cqes -= rx_before.uring_cqes;
-    // The raw baseline bypasses Transport counters; reconstruct them so
-    // the table's dgram/syscall column stays truthful (1 syscall per
-    // attempted receive, 1 per send).
-    if (path == Path::OldApi) {
-        out.rx.datagrams_received = old_api_received;
-        out.rx.syscalls_received = out.sent + old_api_received;  // hit + empty probe
-        out.rx.bytes_received = old_api_received * kPayload;
-    }
     return out;
 }
 
 /// Best-of-N wrapper: the fastest repetition is the one least disturbed
 /// by scheduler noise on a shared box, and the one the counters describe
 /// (syscall ratios are identical across reps; only wall time moves).
-BlastResult best_blast(Transport& tx, Transport& rx, std::size_t burst, Path path,
-                       int reps) {
-    BlastResult best = blast(tx, rx, burst, path);
+BlastResult best_blast(Transport& tx, Transport& rx, std::size_t burst, int reps) {
+    BlastResult best = blast(tx, rx, burst);
     for (int r = 1; r < reps; ++r) {
-        BlastResult cand = blast(tx, rx, burst, path);
+        BlastResult cand = blast(tx, rx, burst);
         if (cand.goodput_mbps() > best.goodput_mbps()) best = cand;
     }
     return best;
@@ -279,17 +223,16 @@ int main(int argc, char** argv) {
 
     const OffloadCaps caps = offload_caps();
     std::printf("E21: batch transport blast, %zu x %zu B per point\n"
-                "     (loopback UDP + inproc; old-api = the seed's per-datagram\n"
-                "      recv with a fresh zeroed 64 KiB buffer each call)\n"
-                "     kernel offload caps: gso=%d gro=%d uring=%d\n\n",
-                g_datagrams, kPayload, caps.gso ? 1 : 0, caps.gro ? 1 : 0,
-                caps.uring ? 1 : 0);
+                "     (loopback UDP + inproc; shim = the batch API one datagram\n"
+                "      at a time)\n"
+                "     kernel offload caps: gso=%d gro=%d\n\n",
+                g_datagrams, kPayload, caps.gso ? 1 : 0, caps.gro ? 1 : 0);
 
     workload::Table table({"mode", "tier", "burst", "goodput", "dgram/syscall",
                            "delivered", "steady allocs/dgram"});
     bench::Json points = bench::Json::array();
     bool over_budget = false;
-    double udp_single_goodput = 0;
+    double udp_shim_goodput = 0;
     // Best goodput / syscall ratio / alloc figure per *achieved* tier
     // (a requested tier the kernel lacks lands on its fallback's row).
     struct TierBest {
@@ -298,7 +241,7 @@ int main(int argc, char** argv) {
         double allocs = 0;
         bool ran = false;
     };
-    TierBest tier_best[3];
+    TierBest tier_best[2];
 
     auto record = [&](const char* name, OffloadMode tier, std::size_t burst,
                       const BlastResult& r) {
@@ -320,8 +263,8 @@ int main(int argc, char** argv) {
                              bench::Json::num(r.steady_allocs_per_datagram()))
                         .set("tx", bench::counters_json(r.tx))
                         .set("rx", bench::counters_json(r.rx)));
-        // The gate covers only the batch path: burst 1 is the old API,
-        // whose per-datagram allocation is part of what it demonstrates.
+        // The gate covers only the batch path: the burst-1 rows are the
+        // baseline it is measured against.
         if (budget >= 0 && burst > 1 && r.steady_allocs_per_datagram() > budget) {
             over_budget = true;
         }
@@ -331,15 +274,13 @@ int main(int argc, char** argv) {
 
     {
         auto [a, b] = UdpTransport::make_pair();
-        const BlastResult old_api = best_blast(*a, *b, 1, Path::OldApi, reps);
-        record("udp old-api", OffloadMode::Mmsg, 1, old_api);
-        udp_single_goodput = old_api.goodput_mbps();
-        record("udp shim", OffloadMode::Mmsg, 1, best_blast(*a, *b, 1, Path::Shim, reps));
+        const BlastResult shim = best_blast(*a, *b, 1, reps);
+        record("udp shim", OffloadMode::Mmsg, 1, shim);
+        udp_shim_goodput = shim.goodput_mbps();
     }
     // The offload ladder: a fresh socket pair per requested tier (offload
     // state is sticky -- a demoted transport stays demoted by design).
-    for (const OffloadMode mode :
-         {OffloadMode::Mmsg, OffloadMode::Gso, OffloadMode::Uring}) {
+    for (const OffloadMode mode : {OffloadMode::Mmsg, OffloadMode::Gso}) {
         auto [a, b] = UdpTransport::make_pair();
         a->enable_offload(mode);
         b->enable_offload(mode);
@@ -347,9 +288,8 @@ int main(int argc, char** argv) {
             std::string("udp ") + offload_mode_name(mode);
         for (const std::size_t burst : {std::size_t{8}, std::size_t{32},
                                         std::size_t{128}}) {
-            const BlastResult r = best_blast(*a, *b, burst, Path::Batched, reps);
-            // What actually ran: the receive side saw any demotion (the
-            // uring tier only instantiates its ring on first recv).
+            const BlastResult r = best_blast(*a, *b, burst, reps);
+            // What actually ran, after any demotion.
             const OffloadMode tier = b->offload_tier();
             record(name.c_str(), tier, burst, r);
             TierBest& best = tier_best[static_cast<int>(tier)];
@@ -369,34 +309,25 @@ int main(int argc, char** argv) {
     }
     {
         auto [a, b] = InprocTransport::make_pair(/*capacity=*/256);
-        record("inproc shim", OffloadMode::Mmsg, 1, best_blast(*a, *b, 1, Path::Shim, reps));
+        record("inproc shim", OffloadMode::Mmsg, 1, best_blast(*a, *b, 1, reps));
         record("inproc batched", OffloadMode::Mmsg, 32,
-               best_blast(*a, *b, 32, Path::Batched, reps));
+               best_blast(*a, *b, 32, reps));
     }
 
-    table.print("E21: offered-load sweep, offload ladder vs the pre-batch API");
+    table.print("E21: offered-load sweep, offload ladder vs batch-of-one");
 
     const TierBest& mmsg = tier_best[static_cast<int>(OffloadMode::Mmsg)];
     const TierBest& gso = tier_best[static_cast<int>(OffloadMode::Gso)];
-    const TierBest& uring = tier_best[static_cast<int>(OffloadMode::Uring)];
-    const double speedup =
-        udp_single_goodput > 0 ? mmsg.goodput / udp_single_goodput : 0;
+    const double mmsg_vs_shim = udp_shim_goodput > 0 ? mmsg.goodput / udp_shim_goodput : 0;
     const double gso_vs_mmsg = (gso.ran && mmsg.goodput > 0) ? gso.goodput / mmsg.goodput : 0;
-    const double uring_vs_mmsg =
-        (uring.ran && mmsg.goodput > 0) ? uring.goodput / mmsg.goodput : 0;
     std::printf("\nudp best per tier:\n");
-    std::printf("  mmsg : %.0f Mbit/s, %.2f dgrams/syscall, %.2fx over the "
-                "pre-batch API, %.6f steady allocs/dgram\n",
-                mmsg.goodput, mmsg.ratio, speedup, mmsg.allocs);
+    std::printf("  mmsg: %.0f Mbit/s, %.2f dgrams/syscall, %.2fx over batch-of-one, "
+                "%.6f steady allocs/dgram\n",
+                mmsg.goodput, mmsg.ratio, mmsg_vs_shim, mmsg.allocs);
     if (gso.ran) {
-        std::printf("  gso  : %.0f Mbit/s, %.2f dgrams/syscall, %.2fx over mmsg, "
+        std::printf("  gso : %.0f Mbit/s, %.2f dgrams/syscall, %.2fx over mmsg, "
                     "%.6f steady allocs/dgram\n",
                     gso.goodput, gso.ratio, gso_vs_mmsg, gso.allocs);
-    }
-    if (uring.ran) {
-        std::printf("  uring: %.0f Mbit/s, %.2f dgrams/syscall, %.2fx over mmsg, "
-                    "%.6f steady allocs/dgram\n",
-                    uring.goodput, uring.ratio, uring_vs_mmsg, uring.allocs);
     }
 
     bench::BenchOutput out("e21_batch_transport");
@@ -405,11 +336,9 @@ int main(int argc, char** argv) {
         .meta("quick", bench::Json::boolean(quick))
         .meta("caps", bench::Json::object()
                           .set("gso", bench::Json::boolean(caps.gso))
-                          .set("gro", bench::Json::boolean(caps.gro))
-                          .set("uring", bench::Json::boolean(caps.uring)))
-        .meta("udp_speedup_at_top_load", bench::Json::num(speedup))
+                          .set("gro", bench::Json::boolean(caps.gro)))
+        .meta("mmsg_vs_shim", bench::Json::num(mmsg_vs_shim))
         .meta("gso_vs_mmsg", bench::Json::num(gso_vs_mmsg))
-        .meta("uring_vs_mmsg", bench::Json::num(uring_vs_mmsg))
         .meta("points", std::move(points))
         .add_table("offered-load sweep", table);
     if (!out.write()) std::printf("warning: could not write BENCH_e21 output files\n");

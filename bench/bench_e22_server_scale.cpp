@@ -28,7 +28,7 @@
 //   --shards N         server shard (socket + wheel) count, default 4
 //   --offload MODE     transport offload tier for the server shards and
 //                      the clients: auto (default; GSO sends so the
-//                      server's GRO coalesces), mmsg, gso, uring --
+//                      server's GRO coalesces), mmsg, gso --
 //                      unavailable tiers fall back per resolve_offload
 
 #include <atomic>
@@ -391,7 +391,7 @@ int main(int argc, char** argv) {
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--check-budget X] [--sessions N] "
-                         "[--shards N] [--offload auto|mmsg|gso|uring]\n",
+                         "[--shards N] [--offload auto|mmsg|gso]\n",
                          argv[0]);
             return 2;
         }

@@ -32,7 +32,7 @@
 //   --shards N         server shard (socket + wheel) count, default 2
 //   --sockets N        fleet socket count, default 8
 //   --offload MODE     transport offload tier: mmsg (default), gso,
-//                      uring, auto
+//                      auto
 //   E24_ALLOC_PROBE=1  (env) dump backtraces of steady-state allocations
 
 #include <atomic>
@@ -387,7 +387,7 @@ int main(int argc, char** argv) {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--check-budget X] [--check-sessions N] "
                          "[--sessions N] [--shards N] [--sockets N] "
-                         "[--offload auto|mmsg|gso|uring]\n",
+                         "[--offload auto|mmsg|gso]\n",
                          argv[0]);
             return 2;
         }

@@ -173,10 +173,9 @@ inline Json provenance() {
     utsname u{};
     ::uname(&u);
     std::string tiers;
-    for (const net::OffloadMode mode :
-         {net::OffloadMode::Mmsg, net::OffloadMode::Gso, net::OffloadMode::Uring}) {
+    for (const net::OffloadMode mode : {net::OffloadMode::Mmsg, net::OffloadMode::Gso}) {
         if (net::resolve_offload(mode) != mode) continue;
-        if (!tiers.empty()) tiers += ' ';
+        if (!tiers.empty()) tiers += ',';
         tiers += net::offload_mode_name(mode);
     }
     return Json::object()

@@ -1,10 +1,11 @@
 // udp_transfer: the block-ack protocol moving real bytes over real
 // sockets.
 //
-// Default mode runs a complete transfer inside one process -- endpoint A
-// on the main thread, endpoint B on a worker thread, two UDP sockets on
-// loopback with seeded loss/dup/reorder between them -- and prints live
-// per-second metrics from A's event loop.
+// Default mode runs a complete transfer inside one process through
+// net::NetEngine::run_threaded -- endpoint A on the main thread, endpoint
+// B on a worker thread, two UDP sockets on loopback with seeded
+// loss/dup/reorder between them -- and prints live per-second metrics
+// from A's event loop.
 //
 //   $ ./udp_transfer                          # 4 MB, 5% loss, two threads
 //   $ ./udp_transfer --mb 16 --loss 0.2 --proto sr
@@ -44,14 +45,12 @@
 // Exit status is nonzero if the transfer is incomplete at the deadline
 // or any delivered payload fails verification.
 
-#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "common/types.hpp"
 #include "net/net_session.hpp"
@@ -68,7 +67,8 @@ constexpr std::size_t kChunk = 1024;
 
 // --serve runs open-ended until its deadline, so ^C is the normal way to
 // stop it; the handler only raises a flag the poll loop checks between
-// (at most 1 ms) waits, letting the final census line still print.
+// idle waits (at most net::kIdleWaitCap), letting the final census line
+// still print.
 volatile std::sig_atomic_t g_interrupted = 0;
 
 extern "C" void on_sigint(int) { g_interrupted = 1; }
@@ -109,6 +109,7 @@ net::NetConfig make_cfg(const Params& p) {
     cfg.payload_size = kChunk;
     cfg.impair = net::ImpairSpec::lossy(p.loss);
     cfg.link_lifetime = 20 * kMillisecond;
+    cfg.offload = p.offload;
     if (p.duplex) {
         cfg.reverse_count = cfg.count;  // NetEngine modes: B sends back too
         cfg.piggyback = p.piggyback;
@@ -140,15 +141,15 @@ void progress(const char* who, SimTime elapsed, const sim::Metrics& m, Seq deliv
     std::fflush(stdout);
 }
 
-/// One duplex endpoint's event loop over an already-connected transport.
+/// One endpoint of a two-process run: its event loop over an
+/// already-connected transport.
 /// Covers every role: pure sender (rx_count == 0), pure receiver
 /// (count == 0), and full duplex.  Returns true when everything this
 /// endpoint originates is acknowledged AND everything it expects has
 /// been delivered and verified, before the deadline.
 template <typename Core>
 bool endpoint_loop(const net::NetConfig& cfg, net::Clock& clock, net::TimerWheel& wheel,
-                   net::Transport& transport, bool live, const char* who,
-                   const std::atomic<bool>* stop = nullptr) {
+                   net::Transport& transport, const char* who) {
     net::NetEndpoint<Core> endpoint(cfg, {}, wheel, transport);
     // A receiving side must stay up after its last delivery to re-ack
     // duplicate retransmissions (its final acks may have been lost); it
@@ -158,19 +159,17 @@ bool endpoint_loop(const net::NetConfig& cfg, net::Clock& clock, net::TimerWheel
     const SimTime start = clock.now();
     SimTime last_print = start;
     SimTime last_activity = start;
+    const int fds[] = {transport.fd()};
+    const net::TimerWheel* const wheels[] = {&wheel};
     endpoint.start();
     while (clock.now() - start <= cfg.deadline) {
-        if (stop != nullptr && stop->load(std::memory_order_relaxed)) break;
         if (endpoint.poll() > 0) {
             last_activity = clock.now();
         } else {
             if (endpoint.done() && clock.now() - last_activity >= linger) break;
-            // Re-read per wait: the uring tier swaps in its ring fd once
-            // the receive path initializes.
-            const int fds[] = {transport.fd()};
-            net::wait_readable(fds, kMillisecond);
+            net::idle_wait(fds, wheels);
         }
-        if (live && clock.now() - last_print >= kSecond) {
+        if (clock.now() - last_print >= kSecond) {
             last_print = clock.now();
             progress(who, last_print - start, endpoint.metrics(), endpoint.delivered());
         }
@@ -194,50 +193,36 @@ bool endpoint_loop(const net::NetConfig& cfg, net::Clock& clock, net::TimerWheel
     return endpoint.done() && intact;
 }
 
-/// One process, two threads, two UDP sockets: the real deployment shape.
-/// With --duplex both endpoints source and sink --mb megabytes.
-template <typename Core>
-int run_threads(const Params& p) {
-    const net::NetConfig base = make_cfg(p);
-    net::NetConfig cfg_a = base;
-    cfg_a.rx_count = base.reverse_count;
-    net::NetConfig cfg_b = base;
-    cfg_b.count = base.reverse_count;
-    cfg_b.rx_count = base.count;
-    net::SteadyClock clock;
-    net::TimerWheel wheel_a(clock);
-    net::TimerWheel wheel_b(clock);
-    auto [udp_a, udp_b] = net::UdpTransport::make_pair();
-    udp_a->enable_offload(p.offload);
-    udp_b->enable_offload(p.offload);
-    net::Impairer imp_a(*udp_a, wheel_a, base.impair, runtime::mix_seed(base.seed, 0xd1));
-    net::Impairer imp_b(*udp_b, wheel_b, base.impair, runtime::mix_seed(base.seed, 0xac));
-
-    std::atomic<bool> stop{false};
-    bool b_ok = false;
-    std::thread rx([&] {
-        b_ok = endpoint_loop<Core>(cfg_b, clock, wheel_b, imp_b, /*live=*/false,
-                                   p.duplex ? "peer" : "recv", &stop);
-    });
-    const bool a_ok = endpoint_loop<Core>(cfg_a, clock, wheel_a, imp_a, /*live=*/true,
-                                          p.duplex ? "main" : "send");
-    stop.store(true, std::memory_order_relaxed);
-    rx.join();
-    return a_ok && b_ok ? 0 : 1;
-}
-
-/// Deterministic single-threaded variant: InprocTransport + ManualClock.
+/// One process, both endpoints: by default two threads over two UDP
+/// sockets (NetEngine::run_threaded, the real deployment shape), with
+/// --inproc the deterministic single-threaded InprocTransport +
+/// ManualClock replay.  With --duplex both endpoints source and sink --mb
+/// megabytes.
 template <typename Engine>
-int run_inproc(const Params& p) {
-    Engine engine(make_cfg(p), {}, net::NetMode::Inproc);
-    const net::NetReport r = engine.run();
-    std::printf("inproc: %s -- %.2f MB delivered, %llu retx, %llu acks, "
-                "%.1f virtual ms, %llu corrupt\n",
-                r.completed ? "completed" : "INCOMPLETE",
+int run_engine(const Params& p) {
+    const bool inproc = p.mode == Params::Mode::Inproc;
+    Engine engine(make_cfg(p), {}, inproc ? net::NetMode::Inproc : net::NetMode::Udp);
+    net::NetReport r;
+    if (inproc) {
+        r = engine.run();
+    } else {
+        const char* who = p.duplex ? "main" : "send";
+        const SimTime start = engine.sender().wheel().now();
+        SimTime last_print = start;
+        r = engine.run_threaded([&](Engine& e) {
+            const SimTime now = e.sender().wheel().now();
+            if (now - last_print < kSecond) return;
+            last_print = now;
+            progress(who, now - start, e.sender().metrics(), e.sender().delivered());
+        });
+    }
+    std::printf("%s: %s -- %.2f MB delivered, %llu retx, %llu acks, "
+                "%.1f %sms, %llu corrupt\n",
+                inproc ? "inproc" : "threads", r.completed ? "completed" : "INCOMPLETE",
                 static_cast<double>(r.bytes_delivered) / 1e6,
                 (unsigned long long)r.metrics.data_retx,
-                (unsigned long long)r.metrics.acks_received,
-                to_seconds(r.elapsed) * 1e3, (unsigned long long)r.payload_mismatches);
+                (unsigned long long)r.metrics.acks_received, to_seconds(r.elapsed) * 1e3,
+                inproc ? "virtual " : "", (unsigned long long)r.payload_mismatches);
     if (p.duplex) {
         std::printf("duplex: %.2f MB reverse, %llu acks piggybacked, "
                     "%llu standalone (%.0f%% piggybacked)\n",
@@ -245,7 +230,7 @@ int run_inproc(const Params& p) {
                     (unsigned long long)r.piggybacked,
                     (unsigned long long)r.standalone_acks, r.piggyback_ratio() * 100);
     }
-    std::printf("(same seed => byte-identical rerun; try it)\n");
+    if (inproc) std::printf("(same seed => byte-identical rerun; try it)\n");
     return r.completed ? 0 : 1;
 }
 
@@ -277,7 +262,7 @@ int run_endpoint(const Params& p) {
                 "offload %s)\n",
                 role, udp.local_port(), p.peer, p.mb, p.duplex ? " each way" : "",
                 p.loss * 100, net::offload_mode_name(udp.offload_tier()));
-    return endpoint_loop<Core>(cfg, clock, wheel, imp, true, role) ? 0 : 1;
+    return endpoint_loop<Core>(cfg, clock, wheel, imp, role) ? 0 : 1;
 }
 
 /// Multi-session server: every arriving client (tagged conn or plain v1)
@@ -311,14 +296,14 @@ int run_serve(const Params& p) {
     std::signal(SIGINT, on_sigint);
     const SimTime start = clock.now();
     SimTime last_print = start;
-    std::vector<int> fds(shards.size());
+    std::vector<int> fds;
+    std::vector<const net::TimerWheel*> wheels;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        fds.push_back(shards[i]->fd());
+        wheels.push_back(&server.shard_wheel(i));
+    }
     while (g_interrupted == 0 && clock.now() - start <= p.deadline) {
-        if (server.poll() == 0) {
-            // Refreshed per wait: a uring shard's pollable fd changes
-            // once its ring comes up.
-            for (std::size_t i = 0; i < shards.size(); ++i) fds[i] = shards[i]->fd();
-            net::wait_readable(fds, kMillisecond);
-        }
+        if (server.poll() == 0) net::idle_wait(fds, wheels);
         if (clock.now() - last_print >= kSecond) {
             last_print = clock.now();
             const net::ServerStats& st = server.stats();
@@ -358,11 +343,10 @@ int run_serve(const Params& p) {
 template <typename Core, typename Engine>
 int dispatch_mode(const Params& p) {
     switch (p.mode) {
-        case Params::Mode::Inproc: return run_inproc<Engine>(p);
         case Params::Mode::Send:
         case Params::Mode::Recv: return run_endpoint<Core>(p);
         case Params::Mode::Serve: return run_serve<Core>(p);
-        default: return run_threads<Core>(p);
+        default: return run_engine<Engine>(p);
     }
 }
 
@@ -372,7 +356,7 @@ int usage(const char* argv0) {
                  "          [--w N] [--timeout-mode simple|per-message|oracle-simple|\n"
                  "                                  oracle-per-message]\n"
                  "          [--proto ba|ba-bounded|ba-hole|abp|gbn|sr|tc] [--inproc]\n"
-                 "          [--offload auto|mmsg|gso|uring]\n"
+                 "          [--offload auto|mmsg|gso]\n"
                  "          [--duplex [--no-piggyback] [--pb-delay-ms MS]]\n"
                  "          [--send|--recv|--duplex --port P --peer P]\n"
                  "          [--serve --port P [--shards N]]\n",

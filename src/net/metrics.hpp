@@ -53,9 +53,6 @@ struct Metrics {
     /// split back out of them.
     std::uint64_t gro_recvs = 0;
     std::uint64_t gro_segments = 0;
-    /// Datagrams completed through the io_uring multishot path (each is
-    /// one CQE, not one syscall).
-    std::uint64_t uring_cqes = 0;
 
     // ---- timer-wheel counters (folded in by NetEngine/Server) --------
     /// fire_due() calls that fired at least one timer, and the total
@@ -89,7 +86,7 @@ struct Metrics {
     }
 
     using Field = MetricsField;
-    static constexpr std::size_t kFieldCount = 21;
+    static constexpr std::size_t kFieldCount = 20;
 
     /// The counter table: single source of truth for fields(),
     /// to_json(), and operator+= (every row merges by summation).
@@ -105,7 +102,6 @@ struct Metrics {
         {"gso_segments", &Metrics::gso_segments},
         {"gro_recvs", &Metrics::gro_recvs},
         {"gro_segments", &Metrics::gro_segments},
-        {"uring_cqes", &Metrics::uring_cqes},
         {"timer_fire_batches", &Metrics::timer_fire_batches},
         {"timers_fired", &Metrics::timers_fired},
         {"offered", &Metrics::offered},

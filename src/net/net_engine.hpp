@@ -117,8 +117,8 @@ struct NetConfig : runtime::EngineConfig {
     /// at a multiplexed peer.
     wire::Conn conn;
     /// Kernel-offload tier for the UDP transports (net/offload.hpp):
-    /// Mmsg keeps the portable sendmmsg/recvmmsg baseline, Gso/Uring
-    /// climb the ladder, Auto takes the best the kernel supports.
+    /// Mmsg keeps the portable sendmmsg/recvmmsg baseline, Gso adds
+    /// UDP_SEGMENT/UDP_GRO, Auto takes the best the kernel supports.
     /// Ignored in Inproc mode (no kernel below the queues).
     OffloadMode offload = OffloadMode::Mmsg;
     /// Messages this endpoint expects to *sink* (its receiving half's
@@ -724,6 +724,8 @@ public:
     template <typename Tick>
     NetReport run(Tick&& tick) {
         const SimTime start = clock_->now();
+        const int fds[] = {raw_a_->fd(), raw_b_->fd()};
+        const TimerWheel* const wheels[] = {wheel_a_.get(), wheel_b_.get()};
         a_->start();
         b_->start();
         while (!finished()) {
@@ -734,11 +736,11 @@ public:
             if (work > 0) continue;
             if (netmode_ == NetMode::Inproc) {
                 // Idle with empty queues: jump to the next timer deadline.
-                const auto next = earliest_deadline();
+                const auto next = earliest_deadline(wheels);
                 if (!next) break;  // no timers, no traffic: wedged
                 manual_clock_.advance_to(*next);
             } else {
-                idle_wait();
+                idle_wait(fds, wheels);
             }
         }
         return make_report(start);
@@ -756,28 +758,32 @@ public:
     /// shape (two independent event loops).  Requires real time (Udp
     /// mode); determinism is naturally out the window.
     NetReport run_threaded() {
+        return run_threaded([](NetEngine&) {});
+    }
+
+    /// run_threaded() with an observer called after every iteration of
+    /// endpoint A's loop, on the calling thread (udp_transfer prints live
+    /// progress from it).  B runs on its own thread meanwhile, so the
+    /// observer may read endpoint A (sender()) only.
+    template <typename Tick>
+    NetReport run_threaded(Tick&& tick) {
         BACP_ASSERT_MSG(netmode_ == NetMode::Udp, "threaded run needs real time");
         const SimTime start = clock_->now();
+        const int fds[] = {raw_a_->fd(), raw_b_->fd()};
+        const TimerWheel* const wheels[] = {wheel_a_.get(), wheel_b_.get()};
         std::atomic<bool> stop{false};
-        std::thread rx([this, &stop] {
+        std::thread rx([this, &stop, &fds, &wheels] {
             b_->start();
             while (!stop.load(std::memory_order_relaxed)) {
-                if (b_->poll() == 0) {
-                    // Re-read fd() each wait: it changes when the
-                    // io_uring tier arms on the first recv_batch.
-                    const int fds[] = {fd_b()};
-                    wait_readable(fds, b_->wheel().next_deadline()
-                                           ? kMillisecond
-                                           : 5 * kMillisecond);
-                }
+                if (b_->poll() > 0) continue;
+                idle_wait(std::span(fds).last(1), std::span(wheels).last(1));
             }
         });
         a_->start();
         while (!a_->done() && clock_->now() - start <= cfg_.deadline) {
-            if (a_->poll() == 0) {
-                const int fds[] = {fd_a()};
-                wait_readable(fds, kMillisecond);
-            }
+            const std::size_t work = a_->poll();
+            tick(*this);
+            if (work == 0) idle_wait(std::span(fds).first(1), std::span(wheels).first(1));
         }
         stop.store(true, std::memory_order_relaxed);
         rx.join();
@@ -786,7 +792,7 @@ public:
         // run exits in a poll or two; a wedged one runs to the deadline,
         // same as run().
         while (!finished() && clock_->now() - start <= cfg_.deadline) {
-            if (a_->poll() + b_->poll() == 0) idle_wait();
+            if (a_->poll() + b_->poll() == 0) idle_wait(fds, wheels);
         }
         return make_report(start);
     }
@@ -805,28 +811,6 @@ public:
 
 private:
     bool finished() const { return a_->done() && b_->done(); }
-
-    std::optional<SimTime> earliest_deadline() const {
-        const auto a = a_->wheel().next_deadline();
-        const auto b = b_->wheel().next_deadline();
-        if (!a) return b;
-        if (!b) return a;
-        return std::min(*a, *b);
-    }
-
-    int fd_a() const { return raw_a_->fd(); }
-    int fd_b() const { return raw_b_->fd(); }
-
-    void idle_wait() {
-        // Sleep until a datagram arrives or (approximately) the next
-        // timer deadline; cap the wait so the deadline check stays live.
-        SimTime wait = 5 * kMillisecond;
-        if (const auto next = earliest_deadline()) {
-            wait = std::clamp<SimTime>(*next - clock_->now(), 0, wait);
-        }
-        const int fds[] = {fd_a(), fd_b()};
-        wait_readable(fds, wait);
-    }
 
     NetReport make_report(SimTime start) const {
         NetReport report;

@@ -33,11 +33,8 @@ bool probe_udp_sockopt(int optname, int value) {
     return ok;
 }
 
-/// A usable io_uring needs more than io_uring_setup succeeding: the
-/// receive path registers a provided-buffer ring (5.19+) and arms
-/// multishot recvmsg (6.0+).  Probe the first two directly; multishot
-/// rejection surfaces as an immediate -EINVAL completion at runtime and
-/// UringRx degrades to recvmmsg then.
+/// io_uring_setup plus a provided-buffer ring registration (5.19+).
+/// Only OffloadCaps::uring reads it.
 bool probe_uring() {
     io_uring_params params{};
     const long ring =
@@ -79,33 +76,17 @@ const OffloadCaps& offload_caps() {
 
 OffloadMode resolve_offload(OffloadMode requested) {
     const OffloadCaps& caps = offload_caps();
-    switch (requested) {
-        case OffloadMode::Auto:
-            // GSO+GRO first: segmentation offload amortizes the whole
-            // stack traversal, worth ~10x mmsg goodput on loopback bulk
-            // (BENCH_e21), where the uring tier's syscall elision buys
-            // ~2x.  io_uring stays an explicit opt-in for workloads that
-            // want its readiness model over raw goodput.
-            if (caps.gso || caps.gro) return OffloadMode::Gso;
-            if (caps.uring) return OffloadMode::Uring;
-            return OffloadMode::Mmsg;
-        case OffloadMode::Uring:
-            if (caps.uring) return OffloadMode::Uring;
-            [[fallthrough]];  // best remaining tier
-        case OffloadMode::Gso:
-            if (caps.gso || caps.gro) return OffloadMode::Gso;
-            [[fallthrough]];
-        case OffloadMode::Mmsg:
-        default:
-            return OffloadMode::Mmsg;
-    }
+    // Auto and Gso take segmentation offload wherever the kernel has it:
+    // it amortizes the whole stack traversal, ~10x mmsg goodput on
+    // loopback bulk (BENCH_e21).
+    if (requested != OffloadMode::Mmsg && (caps.gso || caps.gro)) return OffloadMode::Gso;
+    return OffloadMode::Mmsg;
 }
 
 const char* offload_mode_name(OffloadMode mode) {
     switch (mode) {
         case OffloadMode::Mmsg: return "mmsg";
         case OffloadMode::Gso: return "gso";
-        case OffloadMode::Uring: return "uring";
         case OffloadMode::Auto: return "auto";
     }
     return "?";
@@ -114,7 +95,6 @@ const char* offload_mode_name(OffloadMode mode) {
 std::optional<OffloadMode> parse_offload_mode(std::string_view text) {
     if (text == "mmsg") return OffloadMode::Mmsg;
     if (text == "gso") return OffloadMode::Gso;
-    if (text == "uring") return OffloadMode::Uring;
     if (text == "auto") return OffloadMode::Auto;
     return std::nullopt;
 }
@@ -124,9 +104,8 @@ void log_offload_tier_once(OffloadMode tier) {
     std::call_once(flag, [tier] {
         const OffloadCaps& caps = offload_caps();
         std::fprintf(stderr,
-                     "net: offload tier=%s (caps: gso=%d gro=%d io_uring=%d)\n",
-                     offload_mode_name(tier), caps.gso ? 1 : 0, caps.gro ? 1 : 0,
-                     caps.uring ? 1 : 0);
+                     "net: offload tier=%s (caps: gso=%d gro=%d)\n",
+                     offload_mode_name(tier), caps.gso ? 1 : 0, caps.gro ? 1 : 0);
     });
 }
 

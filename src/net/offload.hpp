@@ -6,7 +6,7 @@
 ///
 /// The batch API (sendmmsg/recvmmsg) amortizes the *syscall*; the next
 /// constant factors live below it, and not every kernel has them.  This
-/// header names the ladder:
+/// header names the two-tier ladder:
 ///
 ///   Mmsg   sendmmsg/recvmmsg, one mmsghdr per datagram.  The portable
 ///          baseline every kernel since 3.0 supports; everything else
@@ -16,19 +16,13 @@
 ///          moves up to 64 datagrams.  recv: UDP_GRO, the kernel hands
 ///          one coalesced buffer per burst and recv_batch splits it
 ///          back into the arena.
-///   Uring  receive via io_uring multishot recvmsg with a provided
-///          buffer ring: datagrams complete into pre-published buffers
-///          with no per-datagram syscall at all; the send side keeps
-///          GSO.  fd() exposes the ring fd (pollable exactly like a
-///          socket), so event loops need no changes.
 ///
-/// offload_caps() probes once per process (three cheap setsockopt /
+/// offload_caps() probes once per process (cheap setsockopt /
 /// io_uring_setup attempts against throwaway descriptors) and caches.
-/// resolve_offload() maps Auto to the best supported tier.  Every
-/// feature degrades at runtime too: a GSO send rejected with
-/// EINVAL/EIO permanently drops that transport to plain sends, and an
-/// io_uring submission the kernel refuses drops to recvmmsg -- the
-/// probe is an optimization, not a promise.
+/// resolve_offload() maps Auto to the best supported tier.  GSO degrades
+/// at runtime too: a send rejected with EINVAL/EIO permanently drops
+/// that transport to plain sends -- the probe is an optimization, not a
+/// promise.
 
 #include <cstdint>
 #include <optional>
@@ -41,7 +35,6 @@ namespace bacp::net {
 enum class OffloadMode : std::uint8_t {
     Mmsg = 0,
     Gso = 1,
-    Uring = 2,
     Auto = 255,
 };
 
@@ -49,18 +42,20 @@ enum class OffloadMode : std::uint8_t {
 struct OffloadCaps {
     bool gso = false;    // UDP_SEGMENT sockopt accepted
     bool gro = false;    // UDP_GRO sockopt accepted
-    bool uring = false;  // io_uring_setup + provided-buffer ring accepted
+    /// io_uring_setup + provided-buffer ring accepted.  No tier uses it;
+    /// only the benchmark driver's stamp still reports it.
+    bool uring = false;
 };
 
 /// Cached process-wide capability probe.
 const OffloadCaps& offload_caps();
 
-/// Auto -> best supported tier (Uring > Gso > Mmsg); explicit requests
+/// Auto -> best supported tier (Gso > Mmsg); explicit requests
 /// are clamped to what the kernel can actually do (e.g. Gso on a
 /// GSO-less kernel resolves to Mmsg).
 OffloadMode resolve_offload(OffloadMode requested);
 
-/// Stable lowercase name ("mmsg" / "gso" / "uring" / "auto").
+/// Stable lowercase name ("mmsg" / "gso" / "auto").
 const char* offload_mode_name(OffloadMode mode);
 
 /// Parses an --offload argument; nullopt on anything unrecognized.

@@ -144,7 +144,7 @@ struct ServerStats {
     std::uint64_t decode_errors = 0;       // pre-demux rejects
     std::uint64_t crc_errors = 0;
     /// Kernel-offload tier the shard sockets run (OffloadMode numeric
-    /// value: 0 mmsg, 1 gso, 2 uring).  Merged by max -- shards share
+    /// value: 0 mmsg, 1 gso).  Merged by max -- shards share
     /// one kernel, so mixed tiers only appear after a runtime demotion.
     std::uint64_t offload_tier = 0;
 
@@ -326,24 +326,18 @@ public:
     }
 
     /// Runs one event-loop thread per shard until \p stop becomes true.
-    /// Idle shards sleep on their socket with a timer-deadline-capped
-    /// poll(2), so timers stay on schedule without busy-waiting.
+    /// Idle shards sleep in idle_wait() on their socket and wheel, so
+    /// timers stay on schedule without busy-waiting.
     void run_threads(const std::atomic<bool>& stop) {
         std::vector<std::thread> threads;
         threads.reserve(shards_.size());
         for (std::size_t i = 0; i < shards_.size(); ++i) {
             threads.emplace_back([this, i, &stop] {
                 Shard& s = *shards_[i];
+                const int fds[] = {s.transport->fd()};
+                const TimerWheel* const wheels[] = {s.wheel.get()};
                 while (!stop.load(std::memory_order_relaxed)) {
-                    if (poll_shard(i) > 0) continue;
-                    SimTime wait = kMillisecond;
-                    if (const auto next = s.wheel->next_deadline()) {
-                        wait = std::clamp<SimTime>(*next - s.wheel->now(), 0, wait);
-                    }
-                    // Re-read fd() each wait: it changes when the
-                    // io_uring tier arms on the first recv_batch.
-                    const int fds[] = {s.transport->fd()};
-                    wait_readable(fds, wait);
+                    if (poll_shard(i) == 0) idle_wait(fds, wheels);
                 }
             });
         }

@@ -15,7 +15,7 @@
 #include <thread>
 
 #include "common/assert.hpp"
-#include "net/uring_rx.hpp"
+#include "net/timer_wheel.hpp"
 
 // The offload sockopt names may be missing from older libcs even when
 // the kernel honors the numbers; the values are ABI.
@@ -189,26 +189,18 @@ void UdpTransport::connect_peer(std::uint16_t port) {
     }
 }
 
-int UdpTransport::fd() const {
-    return (uring_ && !uring_->broken()) ? uring_->ring_fd() : fd_;
-}
-
 void UdpTransport::enable_offload(OffloadMode mode) {
     const OffloadMode tier = resolve_offload(mode);
-    tier_ = tier;
     log_offload_tier_once(tier);
     if (tier == OffloadMode::Mmsg) return;
     gso_on_ = offload_caps().gso;
-    // GRO only on the Gso tier: the io_uring tier's per-buffer payload
-    // capacity is one arena slot, not a coalesced super-buffer.
-    if (tier == OffloadMode::Gso && offload_caps().gro) {
+    if (offload_caps().gro) {
         const int one = 1;
         gro_on_ = ::setsockopt(fd_, SOL_UDP, UDP_GRO, &one, sizeof(one)) == 0;
     }
 }
 
 OffloadMode UdpTransport::offload_tier() const {
-    if (tier_ == OffloadMode::Uring && !uring_failed_) return OffloadMode::Uring;
     if (gso_active() || gro_on_) return OffloadMode::Gso;
     return OffloadMode::Mmsg;
 }
@@ -432,29 +424,6 @@ std::size_t UdpTransport::drain_sendmmsg(
 
 std::size_t UdpTransport::recv_batch(RecvBatch& batch) {
     batch.clear();
-    if (tier_ == OffloadMode::Uring && !uring_failed_) {
-        if (!uring_) {
-            // Lazily sized from the first arena seen: twice its capacity
-            // in provided buffers rides out a burst while the consumer
-            // drains.  fd() starts answering with the ring fd from here.
-            auto rx = std::make_unique<UringRx>(fd_, batch.capacity() * 2,
-                                                batch.max_datagram());
-            if (rx->ok()) {
-                uring_ = std::move(rx);
-            } else {
-                uring_failed_ = true;
-            }
-        }
-        if (uring_) {
-            const std::size_t n = uring_->drain(batch, stats_);
-            if (!uring_->broken()) return n;
-            // The kernel built the rings but refused the multishot
-            // submission (nothing was ever delivered through it, so the
-            // socket queue is intact): recvmmsg from now on.
-            uring_.reset();
-            uring_failed_ = true;
-        }
-    }
     if (gro_on_) return recv_gro(batch);
     Scratch& sc = *scratch_;
     const std::size_t cap = batch.capacity();
@@ -712,6 +681,25 @@ bool wait_readable(std::span<const int> fds, SimTime max_wait) {
     }
     const int ready = ::poll(entries, count, timeout_ms);
     return ready > 0;
+}
+
+// ---- idle_wait --------------------------------------------------------
+
+std::optional<SimTime> earliest_deadline(std::span<const TimerWheel* const> wheels) {
+    std::optional<SimTime> earliest;
+    for (const TimerWheel* wheel : wheels) {
+        const std::optional<SimTime> next = wheel->next_deadline();
+        if (next && (!earliest || *next < *earliest)) earliest = next;
+    }
+    return earliest;
+}
+
+bool idle_wait(std::span<const int> fds, std::span<const TimerWheel* const> wheels) {
+    SimTime wait = kIdleWaitCap;
+    if (const auto next = earliest_deadline(wheels)) {
+        wait = std::min(wait, *next - wheels.front()->now());
+    }
+    return wait_readable(fds, wait);
 }
 
 }  // namespace bacp::net

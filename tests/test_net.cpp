@@ -243,6 +243,44 @@ TEST(WaitReadable, HandlesFdSetsAcrossTheStackCapacityBoundary) {
     }
 }
 
+// --------------------------------------------------------- idle_wait --
+
+// The one idle wait of every real-time loop returns on whichever comes
+// first: a readable socket, the earliest armed timer, or the cap that
+// keeps stop flags and run deadlines live.
+TEST(IdleWait, WakesOnReadableSocketTimerDeadlineOrCap) {
+    SteadyClock clock;
+    TimerWheel wheel(clock);
+    auto [a, b] = UdpTransport::make_pair();
+    const int fds[] = {b->fd()};
+    const TimerWheel* const wheels[] = {&wheel};
+
+    // A readable socket returns at once, with no timer armed.
+    ASSERT_TRUE(send_one(*a, bytes({7})));
+    SimTime t0 = clock.now();
+    EXPECT_TRUE(idle_wait(fds, wheels));
+    EXPECT_LT(clock.now() - t0, kIdleWaitCap / 2);
+    ASSERT_TRUE(recv_copy(*b).has_value());
+
+    // A timer armed 3 ms out: returns once it is due (>= 3 ms after
+    // arming), long before the cap.
+    t0 = clock.now();
+    wheel.schedule_after(3 * kMillisecond, [] {});
+    EXPECT_FALSE(idle_wait(fds, wheels));
+    const SimTime timed = clock.now() - t0;
+    EXPECT_GE(timed, 3 * kMillisecond);
+    EXPECT_LT(timed, kIdleWaitCap / 2);
+    EXPECT_EQ(wheel.fire_due(), 1u);
+
+    // No timer armed and nothing to read: about the cap.
+    ASSERT_FALSE(wheel.next_deadline().has_value());
+    t0 = clock.now();
+    EXPECT_FALSE(idle_wait(fds, wheels));
+    const SimTime capped = clock.now() - t0;
+    EXPECT_GE(capped, kIdleWaitCap);
+    EXPECT_LT(capped, 3 * kIdleWaitCap);
+}
+
 // ------------------------------------------------------- net::Metrics --
 
 TEST(NetMetrics, FieldsCoverEveryCounterAndToJsonMatches) {

@@ -1,6 +1,5 @@
 // Kernel-offload ladder tests (tier 1): capability probing, the
-// UDP_SEGMENT/UDP_GRO tier, the io_uring multishot receive tier, and
-// every fallback seam between them.  Tests that need a kernel feature
+// UDP_SEGMENT/UDP_GRO tier, and every fallback seam below it.  Tests that need a kernel feature
 // skip (never fail) when the probe says it is absent, so the suite is
 // green on any kernel; the fallback tests run everywhere by
 // construction.  All traffic is loopback UDP: after a send_batch
@@ -56,12 +55,12 @@ struct Corpus {
 };
 
 /// Receives until \p expected datagrams have arrived (or a wait times
-/// out), appending owned copies in arrival order.  Re-reads fd() per
-/// wait: the io_uring tier swaps it on first recv_batch.
+/// out), appending owned copies in arrival order.
 std::vector<std::vector<std::uint8_t>> drain_all(Transport& t, std::size_t expected,
                                                  std::size_t arena_capacity = 16) {
     std::vector<std::vector<std::uint8_t>> received;
     RecvBatch batch(arena_capacity, /*max_datagram=*/2048);
+    const int fds[] = {t.fd()};
     int idle_waits = 0;
     while (received.size() < expected && idle_waits < 20) {
         const std::size_t n = t.recv_batch(batch);
@@ -69,7 +68,6 @@ std::vector<std::vector<std::uint8_t>> drain_all(Transport& t, std::size_t expec
             received.emplace_back(batch[i].begin(), batch[i].end());
         }
         if (n == 0) {
-            const int fds[] = {t.fd()};
             wait_readable(fds, 100 * kMillisecond);
             ++idle_waits;
         }
@@ -85,27 +83,23 @@ TEST(Offload, ProbeIsStableAndResolveClampsToCaps) {
     EXPECT_EQ(resolve_offload(OffloadMode::Mmsg), OffloadMode::Mmsg);
     const OffloadMode best = resolve_offload(OffloadMode::Auto);
     EXPECT_NE(best, OffloadMode::Auto);
-    // Auto prefers GSO+GRO (the measured bulk-goodput winner; see
-    // BENCH_e21) and takes uring only when segmentation is absent.
-    if (caps.gso || caps.gro) {
-        EXPECT_EQ(best, OffloadMode::Gso);
-    } else if (caps.uring) {
-        EXPECT_EQ(best, OffloadMode::Uring);
-    } else {
-        EXPECT_EQ(best, OffloadMode::Mmsg);
-    }
+    // Auto takes GSO+GRO wherever the kernel has either (the measured
+    // bulk-goodput winner; see BENCH_e21).
+    EXPECT_EQ(best, caps.gso || caps.gro ? OffloadMode::Gso : OffloadMode::Mmsg);
     // An explicit request never resolves above what the kernel has.
-    if (!caps.uring) EXPECT_NE(resolve_offload(OffloadMode::Uring), OffloadMode::Uring);
-    if (!caps.gso && !caps.gro) EXPECT_EQ(resolve_offload(OffloadMode::Gso), OffloadMode::Mmsg);
+    if (!caps.gso && !caps.gro) {
+        EXPECT_EQ(resolve_offload(OffloadMode::Gso), OffloadMode::Mmsg);
+    }
 }
 
 TEST(Offload, ModeNamesParseBack) {
-    for (const OffloadMode m : {OffloadMode::Mmsg, OffloadMode::Gso, OffloadMode::Uring,
-                                OffloadMode::Auto}) {
+    for (const OffloadMode m : {OffloadMode::Mmsg, OffloadMode::Gso, OffloadMode::Auto}) {
         const auto parsed = parse_offload_mode(offload_mode_name(m));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, m);
     }
+    // No io_uring tier: `udp_transfer --offload uring` is a usage error.
+    EXPECT_FALSE(parse_offload_mode("uring").has_value());
     EXPECT_FALSE(parse_offload_mode("tcp").has_value());
     EXPECT_FALSE(parse_offload_mode("").has_value());
 }
@@ -238,94 +232,25 @@ TEST(OffloadGso, AddressedSendCoalescesPerPeer) {
     EXPECT_EQ(at2[0], c.datagrams[3]);
 }
 
-// -------------------------------------------------------------- uring --
-
-TEST(OffloadUring, MultishotReceiveRoundTrips) {
-    if (resolve_offload(OffloadMode::Uring) != OffloadMode::Uring) {
-        GTEST_SKIP() << "kernel lacks io_uring provided-buffer rings";
-    }
-    auto [a, b] = UdpTransport::make_pair();
-    a->enable_offload(OffloadMode::Uring);
-    b->enable_offload(OffloadMode::Uring);
-
-    Corpus c;
-    for (std::size_t i = 0; i < 24; ++i) c.add(i, 128 + i);
-    ASSERT_EQ(a->send_batch(c.view()), 24u);
-
-    const auto received = drain_all(*b, 24);
-    if (b->offload_tier() == OffloadMode::Uring) {
-        // Multishot delivered: per-datagram CQEs, and the pollable fd
-        // became the ring's.
-        EXPECT_EQ(b->stats().uring_cqes, 24u);
-        EXPECT_NE(b->fd(), -1);
-    }
-    ASSERT_EQ(received.size(), 24u);
-    for (std::size_t i = 0; i < 24; ++i) EXPECT_EQ(received[i], c.datagrams[i]);
-}
-
-TEST(OffloadUring, RingFdIsPollable) {
-    if (resolve_offload(OffloadMode::Uring) != OffloadMode::Uring) {
-        GTEST_SKIP() << "kernel lacks io_uring provided-buffer rings";
-    }
-    auto [a, b] = UdpTransport::make_pair();
-    b->enable_offload(OffloadMode::Uring);
-    RecvBatch batch(8, 2048);
-    b->recv_batch(batch);  // arms the multishot; fd() is now the ring
-    if (b->offload_tier() != OffloadMode::Uring) GTEST_SKIP() << "uring demoted at runtime";
-
-    ASSERT_TRUE(send_one(*a, numbered_datagram(0, 64)));
-    const int fds[] = {b->fd()};
-    ASSERT_TRUE(wait_readable(fds, 2 * kSecond));
-    ASSERT_EQ(b->recv_batch(batch), 1u);
-    EXPECT_EQ(std::vector<std::uint8_t>(batch[0].begin(), batch[0].end()),
-              numbered_datagram(0, 64));
-}
-
-TEST(OffloadUring, RecordsPeerAddressesForDemux) {
-    if (resolve_offload(OffloadMode::Uring) != OffloadMode::Uring) {
-        GTEST_SKIP() << "kernel lacks io_uring provided-buffer rings";
-    }
-    // A server shard needs per-datagram sources from the ring path just
-    // like from recvmmsg.
-    UdpTransport server;
-    server.enable_offload(OffloadMode::Uring);
-    UdpTransport client;
-    client.connect_peer(server.local_port());
-    ASSERT_TRUE(send_one(client, numbered_datagram(3, 99)));
-
-    RecvBatch batch(8, 2048);
-    std::size_t n = 0;
-    for (int tries = 0; tries < 20 && n == 0; ++tries) {
-        n = server.recv_batch(batch);
-        if (n == 0) {
-            const int fds[] = {server.fd()};
-            wait_readable(fds, 100 * kMillisecond);
-        }
-    }
-    ASSERT_EQ(n, 1u);
-    if (server.offload_tier() == OffloadMode::Uring) {
-        EXPECT_EQ(batch.peer(0).port, client.local_port());
-        EXPECT_TRUE(batch.peer(0).valid());
-    }
-}
-
 // ---------------------------------------------------------- fallbacks --
 
 TEST(OffloadFallback, EveryRequestedTierRoundTripsOnAnyKernel) {
     // The ladder's contract: request anything, traffic still flows.
     // On kernels without the feature this exercises the resolve-time
-    // clamp; with it, the real tier.
-    for (const OffloadMode mode : {OffloadMode::Mmsg, OffloadMode::Gso, OffloadMode::Uring,
-                                   OffloadMode::Auto}) {
+    // clamp; with it, the real tier.  fd() stays the descriptor it was
+    // before any traffic, which is what lets event loops read it once.
+    for (const OffloadMode mode : {OffloadMode::Mmsg, OffloadMode::Gso, OffloadMode::Auto}) {
         auto [a, b] = UdpTransport::make_pair();
         a->enable_offload(mode);
         b->enable_offload(mode);
+        const int fd_before = b->fd();
         Corpus c;
         for (std::size_t i = 0; i < 12; ++i) c.add(i, 400);
         ASSERT_EQ(a->send_batch(c.view()), 12u) << offload_mode_name(mode);
         const auto received = drain_all(*b, 12);
         ASSERT_EQ(received.size(), 12u) << offload_mode_name(mode);
         for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(received[i], c.datagrams[i]);
+        EXPECT_EQ(b->fd(), fd_before) << offload_mode_name(mode);
         EXPECT_NE(b->offload_tier(), OffloadMode::Auto);
     }
 }
