@@ -35,63 +35,19 @@
 //                      goodput falls below the mmsg baseline; soft-skips
 //                      (exit 0, says so) when the kernel lacks GSO+GRO
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "json_out.hpp"
 #include "net/offload.hpp"
 #include "net/transport.hpp"
 #include "workload/report.hpp"
-
-// ---- counting allocator hook -----------------------------------------------
-// Same scheme as E20: replace global operator new/delete so every heap
-// allocation in the process is counted, with no instrumentation to drift.
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<std::uint64_t> g_frees{0};
-
-std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) - 1) &
-                                         ~(static_cast<std::size_t>(align) - 1))) {
-        return p;
-    }
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-    return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept {
-    if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
-    std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
 
 // ---- the bench -------------------------------------------------------------
 
@@ -162,12 +118,12 @@ BlastResult blast(Transport& tx, Transport& rx, std::size_t burst) {
         out.sent += chunk;
         while (rx.recv_batch(batch) > 0) out.received += batch.size();
         if (allocs_at_half == 0 && out.sent >= half) {
-            allocs_at_half = allocs_now();
+            allocs_at_half = bench::allocs_now();
             received_at_half = out.received;
         }
     }
     out.wall_sec = now_sec() - start;
-    out.allocs_steady = allocs_now() - allocs_at_half;
+    out.allocs_steady = bench::allocs_now() - allocs_at_half;
     out.received_steady = out.received - received_at_half;
 
     // Per-blast deltas: the same pair serves several sweep points.

@@ -31,18 +31,17 @@
 //                      server's GRO coalesces), mmsg, gso --
 //                      unavailable tiers fall back per resolve_offload
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "ba/engine_core.hpp"
 #include "common/histogram.hpp"
 #include "json_out.hpp"
@@ -52,96 +51,6 @@
 #include "net/server.hpp"
 #include "net/transport.hpp"
 #include "workload/report.hpp"
-
-// ---- counting allocator hook (same scheme as E20/E21) ----------------------
-
-#include <execinfo.h>
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<bool> g_trace{false};
-
-std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
-
-// Debug-only call-site capture: after the steady-state snap, record the
-// backtrace of every allocation into a fixed table (no allocation).
-constexpr std::size_t kTraceSlots = 64;
-constexpr int kTraceDepth = 10;
-struct TraceSlot {
-    void* frames[kTraceDepth] = {};
-    int depth = 0;
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<bool> used{false};
-};
-TraceSlot g_slots[kTraceSlots];
-
-void record_trace() {
-    void* frames[kTraceDepth];
-    const int depth = backtrace(frames, kTraceDepth);
-    std::uint64_t h = 1469598103934665603ULL;
-    for (int i = 2; i < depth; ++i) {
-        h = (h ^ reinterpret_cast<std::uintptr_t>(frames[i])) * 1099511628211ULL;
-    }
-    for (std::size_t probe = 0; probe < kTraceSlots; ++probe) {
-        TraceSlot& s = g_slots[(h + probe) % kTraceSlots];
-        if (s.used.load(std::memory_order_acquire)) {
-            if (s.depth == depth &&
-                std::memcmp(s.frames, frames, sizeof(void*) * depth) == 0) {
-                s.hits.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            continue;
-        }
-        bool expected = false;
-        if (s.used.compare_exchange_strong(expected, true)) {
-            std::memcpy(s.frames, frames, sizeof(void*) * depth);
-            s.depth = depth;
-            s.hits.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-    }
-}
-
-void dump_traces() {
-    for (TraceSlot& s : g_slots) {
-        if (!s.used.load(std::memory_order_acquire)) continue;
-        std::fprintf(stderr, "---- %llu allocs from:\n",
-                     static_cast<unsigned long long>(s.hits.load()));
-        backtrace_symbols_fd(s.frames, s.depth, 2);
-    }
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (g_trace.load(std::memory_order_relaxed)) {
-        g_trace.store(false, std::memory_order_relaxed);
-        record_trace();
-        g_trace.store(true, std::memory_order_relaxed);
-    }
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) - 1) &
-                                         ~(static_cast<std::size_t>(align) - 1))) {
-        return p;
-    }
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-    return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
 
 // ---- the bench -------------------------------------------------------------
 
@@ -274,6 +183,10 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
         return n;
     };
 
+    std::vector<const TimerWheel*> wheels;
+    for (std::size_t i = 0; i < server.shard_count(); ++i) wheels.push_back(&server.shard_wheel(i));
+    for (const Client& c : clients) wheels.push_back(c.wheel.get());
+
     const double start = now_sec();
     const double deadline = start + 120.0;
     std::uint64_t last_sent = 0;
@@ -289,15 +202,11 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
         }
         work += server.poll();
         if (!snapped && acked_total() >= half) {
-            allocs_at_half = allocs_now();
+            allocs_at_half = bench::allocs_now();
             dgrams_at_half =
                 server.transport_metrics().datagrams_received + client_dgrams_received();
             snapped = true;
-            if (std::getenv("E22_ALLOC_PROBE")) {
-                void* prime[2];
-                backtrace(prime, 2);  // libgcc lazy-init allocates; do it now
-                g_trace.store(true, std::memory_order_relaxed);
-            }
+            if (std::getenv("E22_ALLOC_PROBE")) bench::start_alloc_probe();
         }
         if (done == clients.size()) {
             out.completed = true;
@@ -309,15 +218,7 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
         // the earliest deadline instead of burning empty recv probes.
         const std::uint64_t sent_now = sent_total();
         if (work == 0 && sent_now == last_sent) {
-            std::optional<SimTime> next;
-            const auto consider = [&next](std::optional<SimTime> d) {
-                if (d && (!next || *d < *next)) next = d;
-            };
-            for (std::size_t i = 0; i < server.shard_count(); ++i) {
-                consider(server.shard_wheel(i).next_deadline());
-            }
-            for (Client& c : clients) consider(c.sender->wheel().next_deadline());
-            if (next) {
+            if (const auto next = earliest_deadline(wheels)) {
                 const SimTime gap = *next - clock.now();
                 if (gap > 0) {
                     std::this_thread::sleep_for(std::chrono::nanoseconds(
@@ -328,13 +229,13 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
         last_sent = sent_now;
     }
     out.wall_sec = now_sec() - start;
-    if (g_trace.exchange(false, std::memory_order_relaxed)) dump_traces();
+    bench::stop_alloc_probe();
 
     const std::uint64_t dgrams_end =
         server.transport_metrics().datagrams_received + client_dgrams_received();
     if (snapped && dgrams_end > dgrams_at_half) {
         out.steady_allocs_per_dgram =
-            static_cast<double>(allocs_now() - allocs_at_half) /
+            static_cast<double>(bench::allocs_now() - allocs_at_half) /
             static_cast<double>(dgrams_end - dgrams_at_half);
     }
 

@@ -15,12 +15,14 @@
 //     flat session tables; peak held is reported per point);
 //   - the steady state allocates exactly zero: after every session has
 //     been admitted and half the fleet has finished, not one heap
-//     allocation per datagram on either side (same counting-allocator
-//     hook as E20/E21/E22);
+//     allocation per datagram on either side (the counting allocator
+//     shared with E20/E21/E22/E25, alloc_counter.hpp);
 //   - timer cost scales with *due* timers, not armed ones: a pinned
 //     check arms 100k far timers on a net::TimerWheel and verifies idle
 //     polls and a 64-timer expiry both do bounded structural work (the
 //     hierarchical wheel's reason to exist; DESIGN.md section 15).
+// Each point also reports the fleet's ack latency (p50/p99 over every
+// message of every session, from the one histogram they all feed).
 //
 //   --quick            smaller sweep (CI smoke; same gates)
 //   --check-budget X   exit nonzero when steady-state allocs per
@@ -35,18 +37,17 @@
 //                      auto
 //   E24_ALLOC_PROBE=1  (env) dump backtraces of steady-state allocations
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "ba/engine_core.hpp"
 #include "json_out.hpp"
 #include "net/client_fleet.hpp"
@@ -57,94 +58,6 @@
 #include "net/timer_wheel.hpp"
 #include "net/transport.hpp"
 #include "workload/report.hpp"
-
-// ---- counting allocator hook (same scheme as E20/E21/E22) ------------------
-
-#include <execinfo.h>
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<bool> g_trace{false};
-
-std::uint64_t allocs_now() { return g_allocs.load(std::memory_order_relaxed); }
-
-constexpr std::size_t kTraceSlots = 64;
-constexpr int kTraceDepth = 10;
-struct TraceSlot {
-    void* frames[kTraceDepth] = {};
-    int depth = 0;
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<bool> used{false};
-};
-TraceSlot g_slots[kTraceSlots];
-
-void record_trace() {
-    void* frames[kTraceDepth];
-    const int depth = backtrace(frames, kTraceDepth);
-    std::uint64_t h = 1469598103934665603ULL;
-    for (int i = 2; i < depth; ++i) {
-        h = (h ^ reinterpret_cast<std::uintptr_t>(frames[i])) * 1099511628211ULL;
-    }
-    for (std::size_t probe = 0; probe < kTraceSlots; ++probe) {
-        TraceSlot& s = g_slots[(h + probe) % kTraceSlots];
-        if (s.used.load(std::memory_order_acquire)) {
-            if (s.depth == depth &&
-                std::memcmp(s.frames, frames, sizeof(void*) * depth) == 0) {
-                s.hits.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            continue;
-        }
-        bool expected = false;
-        if (s.used.compare_exchange_strong(expected, true)) {
-            std::memcpy(s.frames, frames, sizeof(void*) * depth);
-            s.depth = depth;
-            s.hits.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-    }
-}
-
-void dump_traces() {
-    for (TraceSlot& s : g_slots) {
-        if (!s.used.load(std::memory_order_acquire)) continue;
-        std::fprintf(stderr, "---- %llu allocs from:\n",
-                     static_cast<unsigned long long>(s.hits.load()));
-        backtrace_symbols_fd(s.frames, s.depth, 2);
-    }
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (g_trace.load(std::memory_order_relaxed)) {
-        g_trace.store(false, std::memory_order_relaxed);
-        record_trace();
-        g_trace.store(true, std::memory_order_relaxed);
-    }
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) - 1) &
-                                         ~(static_cast<std::size_t>(align) - 1))) {
-        return p;
-    }
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-    return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
 
 // ---- the bench -------------------------------------------------------------
 
@@ -182,6 +95,8 @@ struct FleetResult {
     std::uint64_t bytes_delivered = 0;
     double dgrams_per_syscall = 0;
     double steady_allocs_per_dgram = 0;
+    std::int64_t p50_ack_ns = 0;  // the fleet's ack latency, every session's acks
+    std::int64_t p99_ack_ns = 0;
     Metrics server_transport;
     ServerStats server_stats;
     FleetStats fleet_stats;
@@ -254,6 +169,9 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
                fleet.transport_metrics().datagrams_received;
     };
 
+    std::vector<const TimerWheel*> wheels = {&fleet.wheel()};
+    for (std::size_t i = 0; i < server.shard_count(); ++i) wheels.push_back(&server.shard_wheel(i));
+
     const double start = now_sec();
     const double deadline = start + 240.0;
     for (;;) {
@@ -267,14 +185,10 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
         // state), half the fleet retired.
         if (!snapped && fleet.stats().sessions_started == sessions &&
             fleet.stats().sessions_touched == sessions && fleet.finished_count() >= half) {
-            allocs_at_snap = allocs_now();
+            allocs_at_snap = bench::allocs_now();
             dgrams_at_snap = dgrams_received();
             snapped = true;
-            if (std::getenv("E24_ALLOC_PROBE")) {
-                void* prime[2];
-                backtrace(prime, 2);  // libgcc lazy-init allocates; do it now
-                g_trace.store(true, std::memory_order_relaxed);
-            }
+            if (std::getenv("E24_ALLOC_PROBE")) bench::start_alloc_probe();
         }
         if (fleet.done()) {
             out.completed = true;
@@ -282,12 +196,7 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
         }
         if (now_sec() > deadline) break;
         if (work == 0) {
-            std::optional<SimTime> next = fleet.wheel().next_deadline();
-            for (std::size_t i = 0; i < server.shard_count(); ++i) {
-                const auto d = server.shard_wheel(i).next_deadline();
-                if (d && (!next || *d < *next)) next = d;
-            }
-            if (next) {
+            if (const auto next = earliest_deadline(wheels)) {
                 const SimTime gap = *next - clock.now();
                 if (gap > 0) {
                     std::this_thread::sleep_for(std::chrono::nanoseconds(
@@ -297,11 +206,11 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
         }
     }
     out.wall_sec = now_sec() - start;
-    if (g_trace.exchange(false, std::memory_order_relaxed)) dump_traces();
+    bench::stop_alloc_probe();
 
     const std::uint64_t dgrams_end = dgrams_received();
     if (snapped && dgrams_end > dgrams_at_snap) {
-        out.steady_allocs_per_dgram = static_cast<double>(allocs_now() - allocs_at_snap) /
+        out.steady_allocs_per_dgram = static_cast<double>(bench::allocs_now() - allocs_at_snap) /
                                       static_cast<double>(dgrams_end - dgrams_at_snap);
     }
 
@@ -310,6 +219,8 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
     out.server_stats = server.stats();
     out.fleet_stats = fleet.stats();
     out.client_protocol = fleet.protocol_metrics();
+    out.p50_ack_ns = fleet.ack_latency().quantile(0.5);
+    out.p99_ack_ns = fleet.ack_latency().quantile(0.99);
     out.dgrams_per_syscall = out.server_transport.datagrams_per_send_syscall();
     for (const SessionView& v : server.sessions()) {
         out.delivered += v.delivered;
@@ -411,7 +322,7 @@ int main(int argc, char** argv) {
     }
 
     workload::Table table({"sessions", "held peak", "wall", "msgs/s", "dgrams/sendmmsg",
-                           "steady allocs/dgram", "done"});
+                           "p50 ack", "p99 ack", "steady allocs/dgram", "done"});
     bench::Json points = bench::Json::array();
     bool over_budget = false;
     bool incomplete = false;
@@ -425,6 +336,8 @@ int main(int argc, char** argv) {
                        workload::fmt(r.wall_sec, 1) + " s",
                        workload::fmt(r.rate_msgs_per_sec(), 0),
                        workload::fmt(r.dgrams_per_syscall, 2),
+                       workload::fmt(static_cast<double>(r.p50_ack_ns) / 1e3, 0) + " us",
+                       workload::fmt(static_cast<double>(r.p99_ack_ns) / 1e3, 0) + " us",
                        workload::fmt(r.steady_allocs_per_dgram, 6),
                        r.completed ? "yes" : "NO"});
         points.push(
@@ -439,6 +352,10 @@ int main(int argc, char** argv) {
                 .set("delivered", bench::Json::num(r.delivered))
                 .set("msgs_per_sec", bench::Json::num(r.rate_msgs_per_sec()))
                 .set("dgrams_per_syscall", bench::Json::num(r.dgrams_per_syscall))
+                .set("p50_ack_latency_ns",
+                     bench::Json::num(static_cast<std::uint64_t>(r.p50_ack_ns)))
+                .set("p99_ack_latency_ns",
+                     bench::Json::num(static_cast<std::uint64_t>(r.p99_ack_ns)))
                 .set("steady_allocs_per_datagram",
                      bench::Json::num(r.steady_allocs_per_dgram))
                 .set("server_transport", bench::counters_json(r.server_transport))

@@ -35,62 +35,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "json_out.hpp"
 #include "net/net_session.hpp"
 #include "workload/report.hpp"
-
-// ---- counting allocator hook (same scheme as E20/E21/E22) ------------------
-
-#include <execinfo.h>
-
-namespace {
-std::uint64_t g_allocs = 0;  // single-threaded bench: no atomics needed
-bool g_trace = false;        // E25_ALLOC_PROBE=1: backtrace steady allocs
-std::uint64_t allocs_now() { return g_allocs; }
-
-// Debug-only call-site capture (E22's scheme): after the steady-state
-// snap, dump the backtrace of every allocation to stderr.
-void record_trace() {
-    void* frames[16];
-    const int depth = backtrace(frames, 16);
-    std::fprintf(stderr, "---- steady alloc from:\n");
-    backtrace_symbols_fd(frames, depth, 2);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-    ++g_allocs;
-    if (g_trace) {
-        g_trace = false;
-        record_trace();
-        g_trace = true;
-    }
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-    ++g_allocs;
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) - 1) &
-                                         ~(static_cast<std::size_t>(align) - 1))) {
-        return p;
-    }
-    throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-    return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
 
 // ---- the bench -------------------------------------------------------------
 
@@ -159,7 +109,7 @@ DuplexRun run_duplex(bool piggyback, net::NetMode mode) {
             // iteration, before the engine assembles its report -- this
             // reading bounds the steady window to protocol work and
             // keeps the report's own histograms out of the count.
-            last_allocs = allocs_now();
+            last_allocs = bench::allocs_now();
             return;
         }
         if (e.sender().bytes_delivered() < half_bytes ||
@@ -168,11 +118,11 @@ DuplexRun run_duplex(bool piggyback, net::NetMode mode) {
         }
         snapped = true;
         snap_transport = e.transport_snapshot();
-        snap_allocs = allocs_now();
+        snap_allocs = bench::allocs_now();
         last_allocs = snap_allocs;
-        if (std::getenv("E25_ALLOC_PROBE") != nullptr) g_trace = true;
+        if (std::getenv("E25_ALLOC_PROBE") != nullptr) bench::start_alloc_probe();
     });
-    g_trace = false;
+    bench::stop_alloc_probe();
     if (snapped) {
         const net::Metrics end = engine.transport_snapshot();
         out.steady_allocs = last_allocs - snap_allocs;

@@ -105,20 +105,17 @@ CrashRestartReport run_crash_restart(const CrashRestartSpec& spec = {}) {
     /// true (checked between polls, so the cut lands mid-exchange) or
     /// nothing remains before the deadline.
     const auto drive = [&](auto&& stop) {
+        std::vector<const net::TimerWheel*> wheels = {wheel.get()};
+        for (std::size_t i = 0; i < server.shard_count(); ++i) {
+            wheels.push_back(&server.shard_wheel(i));
+        }
         for (;;) {
             for (;;) {
                 const std::size_t work = server.poll() + sender->poll();
                 if (stop()) return;
                 if (work == 0) break;
             }
-            std::optional<SimTime> next;
-            const auto consider = [&next](std::optional<SimTime> d) {
-                if (d && (!next || *d < *next)) next = d;
-            };
-            for (std::size_t i = 0; i < server.shard_count(); ++i) {
-                consider(server.shard_wheel(i).next_deadline());
-            }
-            consider(sender->wheel().next_deadline());
+            const std::optional<SimTime> next = net::earliest_deadline(wheels);
             if (!next || *next > spec.deadline) return;
             clock.advance_to(*next);
         }

@@ -16,9 +16,10 @@
 ///
 /// Sessions never touch a socket themselves: they are driven through
 /// NetEndpoint::handle_frame(), so their lazy receive arenas are never
-/// built.  A member holds its endpoint (driver, cores and port, about
-/// 4 KiB), a two-frame send slab, and the buckets of the one latency
-/// histogram it feeds, its ack latency (15 KiB): about 21 KiB at w=2
+/// built.  Every member records its ack latency into the fleet's one
+/// histogram (ack_latency()), so no member allocates histogram buckets:
+/// a member holds its endpoint (driver, cores and port, about 4 KiB)
+/// and a two-frame send slab, about 6.6 KiB at w=2
 /// (tests/test_session_footprint.cpp).
 /// Connection ids are dense (first_conn .. first_conn + sessions - 1),
 /// making demux an index, not a hash.
@@ -40,6 +41,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/histogram.hpp"
 #include "common/metrics_table.hpp"
 #include "common/types.hpp"
 #include "net/net_engine.hpp"
@@ -129,6 +131,7 @@ public:
             session_cfg.conn = wire::Conn{conn, cfg_.epoch};
             members_.push_back(std::make_unique<Member>(
                 session_cfg, options, *wheel_, sockets_[i % sockets_.size()]->staging));
+            members_.back()->sender.record_ack_latency_into(ack_latency_);
         }
     }
 
@@ -167,6 +170,12 @@ public:
 
     const FleetStats& stats() const { return stats_; }
     TimerWheel& wheel() { return *wheel_; }
+    /// Session \p i (connection first_conn + i), for its observers.
+    const NetEndpoint<Core>& session(std::size_t i) const { return members_[i]->sender; }
+    /// Ack latency of every message any member has retired (first
+    /// transmission to the ack that retired it); the members' own
+    /// tx_metrics().ack_latency stay empty.
+    const Histogram& ack_latency() const { return ack_latency_; }
 
     /// Socket counters only: real boundary crossings (the client half of
     /// the dgrams/syscall amortization story).
@@ -274,6 +283,7 @@ private:
     std::unique_ptr<TimerWheel> wheel_;  // shared by every session
     RecvBatch rx_;                       // shared receive arena
     std::vector<std::unique_ptr<Socket>> sockets_;
+    Histogram ack_latency_;  // fed by every member: declared first, outlives them
     std::vector<std::unique_ptr<Member>> members_;
     std::size_t next_start_ = 0;
     FleetStats stats_;

@@ -449,6 +449,14 @@ public:
     const sim::Metrics& tx_metrics() const { return duplex_.tx_metrics(); }
     const sim::Metrics& rx_metrics() const { return duplex_.rx_metrics(); }
 
+    /// Points the sending half's ack-latency recording at \p sink (see
+    /// EndpointDriver::record_ack_latency_into); tx_metrics().ack_latency
+    /// then stays empty.  \p sink must outlive the endpoint; call before
+    /// start().
+    void record_ack_latency_into(Histogram& sink) {
+        duplex_.tx_driver().record_ack_latency_into(sink);
+    }
+
     /// Attach (or detach, with nullptr) a protocol-decision recorder;
     /// both halves share it ('S' / 'R' endpoint chars keep the streams
     /// separable).

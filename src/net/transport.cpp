@@ -35,6 +35,11 @@ namespace {
 /// the floor keeps super-buffers portable across every GSO kernel.
 constexpr std::size_t kGsoMaxSegments = 64;
 
+/// Headers one sendmmsg/recvmmsg call takes: the kernel caps the vector
+/// length at UIO_MAXIOV (1024).  The send and receive scratch holds this
+/// many slots, and send paths split larger batches into chunks of it.
+constexpr std::size_t kBatchSlots = 1024;
+
 /// GRO staging buffers must fit any coalesced payload the kernel can
 /// hand us -- a full UDP datagram's worth.
 constexpr std::size_t kGroBufferBytes = kMaxDatagram;
@@ -62,26 +67,35 @@ bool tolerable_send_errno(int err) {
 
 // ---- UdpTransport -----------------------------------------------------
 
-/// mmsghdr/iovec staging arrays, reused across calls; resize() past the
-/// high-water mark is the only allocation, so steady-state batches are
-/// allocation-free.  Headers are wired to their iovecs once per reshape
-/// -- per-call work is just the iovec base/len stores, which keeps the
-/// hot path to two writes per datagram.
+/// mmsghdr/iovec staging arrays, kBatchSlots of each, allocated once and
+/// left uninitialized: every call path wires each slot it uses (wire()),
+/// so the arrays never grow and only the slots a batch touches become
+/// resident.
 struct UdpTransport::Scratch {
-    std::vector<::mmsghdr> hdrs;
-    std::vector<::iovec> iovs;
-    std::vector<::sockaddr_in> addrs;  // per-slot msg_name storage
+    std::unique_ptr<::mmsghdr[]> hdrs = std::make_unique_for_overwrite<::mmsghdr[]>(kBatchSlots);
+    std::unique_ptr<::iovec[]> iovs = std::make_unique_for_overwrite<::iovec[]>(kBatchSlots);
+    // per-slot msg_name storage
+    std::unique_ptr<::sockaddr_in[]> addrs =
+        std::make_unique_for_overwrite<::sockaddr_in[]>(kBatchSlots);
 
     // ---- GSO send entries (used only when coalescing is on) -----------
     struct SendCtrl {
         alignas(::cmsghdr) char buf[CMSG_SPACE(sizeof(std::uint16_t))];
     };
-    std::vector<SendCtrl> ctrls;             // per-entry UDP_SEGMENT cmsg
-    std::vector<std::size_t> entry_dgrams;   // datagrams entry i covers
-    std::vector<std::size_t> entry_bytes;    // total payload of entry i
-    std::vector<std::uint8_t> entry_gso;     // entry i carries a GSO cmsg
-    /// Landing area for runs whose spans are not already contiguous;
-    /// pre-sized per batch so entry iovecs never dangle on growth.
+    // per-entry UDP_SEGMENT cmsg
+    std::unique_ptr<SendCtrl[]> ctrls = std::make_unique_for_overwrite<SendCtrl[]>(kBatchSlots);
+    // datagrams entry i covers, and their total payload
+    std::unique_ptr<std::size_t[]> entry_dgrams =
+        std::make_unique_for_overwrite<std::size_t[]>(kBatchSlots);
+    std::unique_ptr<std::size_t[]> entry_bytes =
+        std::make_unique_for_overwrite<std::size_t[]>(kBatchSlots);
+    // entry i carries a GSO cmsg / is a scattered run copied to gso_slab
+    std::unique_ptr<bool[]> entry_gso = std::make_unique_for_overwrite<bool[]>(kBatchSlots);
+    std::unique_ptr<bool[]> entry_copy = std::make_unique_for_overwrite<bool[]>(kBatchSlots);
+    /// Landing area for runs whose spans are not already contiguous,
+    /// sized to the scattered bytes of a chunk.  The stack's own egress
+    /// (SendBatch, AddressedSendBatch) packs datagrams back to back, so
+    /// it never needs this.
     std::vector<std::uint8_t> gso_slab;
 
     // ---- GRO receive staging ------------------------------------------
@@ -104,25 +118,32 @@ struct UdpTransport::Scratch {
     std::size_t gro_idx = 0;    // drain cursor: buffer
     std::size_t gro_off = 0;    // drain cursor: byte offset within it
 
-    void shape(std::size_t n) {
-        if (hdrs.size() >= n) return;
-        hdrs.resize(n);
-        iovs.resize(n);
-        addrs.resize(n);
-        ctrls.resize(n);
-        entry_dgrams.resize(n);
-        entry_bytes.resize(n);
-        entry_gso.resize(n);
-        // resize() may have moved iovs; re-wire every header.  msg_name
-        // stays null here: each call path sets (or clears) it per slot,
-        // since connected sends must not carry an address while
-        // addressed sends and server receives must.  Same for
-        // msg_control: only GSO entries carry one.
-        for (std::size_t i = 0; i < hdrs.size(); ++i) {
-            std::memset(&hdrs[i], 0, sizeof(hdrs[i]));
-            hdrs[i].msg_hdr.msg_iov = &iovs[i];
-            hdrs[i].msg_hdr.msg_iovlen = 1;
-        }
+    /// Points slot \p i's header at its iovec over \p len bytes at
+    /// \p base, with no address and no control block.
+    void wire(std::size_t i, const void* base, std::size_t len) {
+        // sendmsg never writes through msg_iov; the const_cast is the
+        // usual iovec impedance mismatch.
+        iovs[i].iov_base = const_cast<void*>(base);
+        iovs[i].iov_len = len;
+        ::msghdr& m = hdrs[i].msg_hdr;
+        m.msg_iov = &iovs[i];
+        m.msg_iovlen = 1;
+        m.msg_name = nullptr;
+        m.msg_namelen = 0;
+        m.msg_control = nullptr;
+        m.msg_controllen = 0;
+        m.msg_flags = 0;
+    }
+
+    /// Gives slot \p i a destination (a connected socket's slots must
+    /// carry none: EISCONN).
+    void address(std::size_t i, const PeerAddr& peer) {
+        addrs[i] = sockaddr_in{};
+        addrs[i].sin_family = AF_INET;
+        addrs[i].sin_addr.s_addr = htonl(peer.ip);
+        addrs[i].sin_port = htons(peer.port);
+        hdrs[i].msg_hdr.msg_name = &addrs[i];
+        hdrs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
     }
 
     /// One-time staging setup for the GRO receive path; sized from the
@@ -206,47 +227,43 @@ OffloadMode UdpTransport::offload_tier() const {
 }
 
 std::size_t UdpTransport::send_batch(std::span<const std::span<const std::uint8_t>> datagrams) {
-    if (datagrams.empty()) return 0;
-    if (gso_active()) return send_gso(datagrams, {});
-    Scratch& sc = *scratch_;
-    sc.shape(datagrams.size());
-    for (std::size_t i = 0; i < datagrams.size(); ++i) {
-        BACP_ASSERT_MSG(datagrams[i].size() <= kMaxDatagram, "datagram exceeds UDP limit");
-        // sendmsg never writes through msg_iov; the const_cast is the
-        // usual iovec impedance mismatch.
-        sc.iovs[i].iov_base = const_cast<std::uint8_t*>(datagrams[i].data());
-        sc.iovs[i].iov_len = datagrams[i].size();
-        // A connected-socket send must carry no address (EISCONN
-        // otherwise); clear what send_batch_to / recv_batch may have
-        // set.  Same for the control block a GSO entry may have left.
-        sc.hdrs[i].msg_hdr.msg_name = nullptr;
-        sc.hdrs[i].msg_hdr.msg_namelen = 0;
-        sc.hdrs[i].msg_hdr.msg_control = nullptr;
-        sc.hdrs[i].msg_hdr.msg_controllen = 0;
-    }
-    return drain_sendmmsg(datagrams);
+    return send_chunked(datagrams, {});
 }
 
 std::size_t UdpTransport::send_batch_to(
     std::span<const std::span<const std::uint8_t>> datagrams,
     std::span<const PeerAddr> peers) {
     BACP_ASSERT_MSG(datagrams.size() == peers.size(), "addressed batch spans not parallel");
-    if (datagrams.empty()) return 0;
-    if (gso_active()) return send_gso(datagrams, peers);
+    return send_chunked(datagrams, peers);
+}
+
+std::size_t UdpTransport::send_chunked(std::span<const std::span<const std::uint8_t>> datagrams,
+                                       std::span<const PeerAddr> peers) {
+    std::size_t sent = 0;
+    for (std::size_t off = 0; off < datagrams.size(); off += kBatchSlots) {
+        const std::size_t n = std::min(kBatchSlots, datagrams.size() - off);
+        const auto chunk = datagrams.subspan(off, n);
+        const auto chunk_peers = peers.empty() ? peers : peers.subspan(off, n);
+        const std::size_t accepted =
+            gso_active() ? send_gso(chunk, chunk_peers) : send_mmsg(chunk, chunk_peers);
+        sent += accepted;
+        if (accepted < n) {
+            // The socket refused part of this chunk (a full buffer): the
+            // rest of the batch is dropped with it.
+            stats_.send_drops += datagrams.size() - off - n;
+            break;
+        }
+    }
+    return sent;
+}
+
+std::size_t UdpTransport::send_mmsg(std::span<const std::span<const std::uint8_t>> datagrams,
+                                    std::span<const PeerAddr> peers) {
     Scratch& sc = *scratch_;
-    sc.shape(datagrams.size());
     for (std::size_t i = 0; i < datagrams.size(); ++i) {
         BACP_ASSERT_MSG(datagrams[i].size() <= kMaxDatagram, "datagram exceeds UDP limit");
-        sc.iovs[i].iov_base = const_cast<std::uint8_t*>(datagrams[i].data());
-        sc.iovs[i].iov_len = datagrams[i].size();
-        sc.addrs[i] = sockaddr_in{};
-        sc.addrs[i].sin_family = AF_INET;
-        sc.addrs[i].sin_addr.s_addr = htonl(peers[i].ip);
-        sc.addrs[i].sin_port = htons(peers[i].port);
-        sc.hdrs[i].msg_hdr.msg_name = &sc.addrs[i];
-        sc.hdrs[i].msg_hdr.msg_namelen = sizeof(sc.addrs[i]);
-        sc.hdrs[i].msg_hdr.msg_control = nullptr;
-        sc.hdrs[i].msg_hdr.msg_controllen = 0;
+        sc.wire(i, datagrams[i].data(), datagrams[i].size());
+        if (!peers.empty()) sc.address(i, peers[i]);
     }
     return drain_sendmmsg(datagrams);
 }
@@ -261,20 +278,17 @@ std::size_t UdpTransport::send_batch_to(
 /// window crosses loopback as a handful of skbs.
 ///
 /// SendBatch/AddressedSendBatch pack datagrams back-to-back in one
-/// slab, so runs are almost always already contiguous in memory and the
-/// entry iovec just points at the first span -- zero copies.  Scattered
-/// spans are copied into scratch (pre-sized; no steady-state
-/// allocation).  Runs of one go out as plain entries, cmsg-less, in the
-/// same sendmmsg -- mixing coalesced and plain entries is fine.
+/// slab, so their runs are already contiguous in memory and the entry
+/// iovec just points at the first span -- zero copies.  Scattered runs
+/// are copied into the scratch slab once the whole chunk is mapped, so
+/// the slab is sized to the scattered bytes alone.  Runs of one go out
+/// as plain entries, cmsg-less, in the same sendmmsg -- mixing
+/// coalesced and plain entries is fine.
 std::size_t UdpTransport::send_gso(std::span<const std::span<const std::uint8_t>> datagrams,
                                    std::span<const PeerAddr> peers) {
     Scratch& sc = *scratch_;
-    sc.shape(datagrams.size());
     const bool addressed = !peers.empty();
-    std::size_t total_bytes = 0;
-    for (const auto& d : datagrams) total_bytes += d.size();
-    if (sc.gso_slab.size() < total_bytes) sc.gso_slab.resize(total_bytes);
-    std::size_t slab_used = 0;
+    std::size_t copy_bytes = 0;  // scattered runs' total, copied below
 
     std::size_t entries = 0;
     std::size_t i = 0;
@@ -301,30 +315,10 @@ std::size_t UdpTransport::send_gso(std::span<const std::span<const std::uint8_t>
         const std::size_t run = j - i;
 
         ::mmsghdr& h = sc.hdrs[entries];
-        ::iovec& iov = sc.iovs[entries];
-        if (run == 1 || contiguous) {
-            iov.iov_base = const_cast<std::uint8_t*>(datagrams[i].data());
-        } else {
-            std::uint8_t* dst = sc.gso_slab.data() + slab_used;
-            iov.iov_base = dst;
-            for (std::size_t k = i; k < j; ++k) {
-                std::memcpy(dst, datagrams[k].data(), datagrams[k].size());
-                dst += datagrams[k].size();
-            }
-            slab_used += bytes;
-        }
-        iov.iov_len = bytes;
-        if (addressed) {
-            sc.addrs[entries] = sockaddr_in{};
-            sc.addrs[entries].sin_family = AF_INET;
-            sc.addrs[entries].sin_addr.s_addr = htonl(peers[i].ip);
-            sc.addrs[entries].sin_port = htons(peers[i].port);
-            h.msg_hdr.msg_name = &sc.addrs[entries];
-            h.msg_hdr.msg_namelen = sizeof(sc.addrs[entries]);
-        } else {
-            h.msg_hdr.msg_name = nullptr;
-            h.msg_hdr.msg_namelen = 0;
-        }
+        sc.wire(entries, datagrams[i].data(), bytes);
+        sc.entry_copy[entries] = run > 1 && !contiguous;
+        if (sc.entry_copy[entries]) copy_bytes += bytes;
+        if (addressed) sc.address(entries, peers[i]);
         if (run > 1) {
             h.msg_hdr.msg_control = sc.ctrls[entries].buf;
             h.msg_hdr.msg_controllen = sizeof(sc.ctrls[entries].buf);
@@ -334,15 +328,27 @@ std::size_t UdpTransport::send_gso(std::span<const std::span<const std::uint8_t>
             cm->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
             const auto seg = static_cast<std::uint16_t>(stride);
             std::memcpy(CMSG_DATA(cm), &seg, sizeof(seg));
-        } else {
-            h.msg_hdr.msg_control = nullptr;
-            h.msg_hdr.msg_controllen = 0;
         }
         sc.entry_dgrams[entries] = run;
         sc.entry_bytes[entries] = bytes;
-        sc.entry_gso[entries] = run > 1 ? 1 : 0;
+        sc.entry_gso[entries] = run > 1;
         ++entries;
         i = j;
+    }
+    if (copy_bytes > 0) {
+        if (sc.gso_slab.size() < copy_bytes) sc.gso_slab.resize(copy_bytes);
+        std::uint8_t* dst = sc.gso_slab.data();
+        std::size_t first = 0;  // first datagram of entry e
+        for (std::size_t e = 0; e < entries; ++e) {
+            if (sc.entry_copy[e]) {
+                sc.iovs[e].iov_base = dst;
+                for (std::size_t k = first; k < first + sc.entry_dgrams[e]; ++k) {
+                    std::memcpy(dst, datagrams[k].data(), datagrams[k].size());
+                    dst += datagrams[k].size();
+                }
+            }
+            first += sc.entry_dgrams[e];
+        }
     }
 
     // The entry-level drain: like drain_sendmmsg, but one accepted
@@ -356,7 +362,7 @@ std::size_t UdpTransport::send_gso(std::span<const std::span<const std::uint8_t>
             n = -1;
             errno = EINVAL;
         } else {
-            n = ::sendmmsg(fd_, sc.hdrs.data() + sent_entries,
+            n = ::sendmmsg(fd_, sc.hdrs.get() + sent_entries,
                            static_cast<unsigned int>(entries - sent_entries), 0);
             ++stats_.syscalls_sent;
         }
@@ -369,10 +375,9 @@ std::size_t UdpTransport::send_gso(std::span<const std::span<const std::uint8_t>
                 // socket; the unsent tail goes back through the plain
                 // path, so no datagram is lost to the downgrade.
                 gso_failed_ = true;
-                const auto tail = datagrams.subspan(sent_dgrams);
                 const std::size_t resent =
-                    addressed ? send_batch_to(tail, peers.subspan(sent_dgrams))
-                              : send_batch(tail);
+                    send_mmsg(datagrams.subspan(sent_dgrams),
+                              addressed ? peers.subspan(sent_dgrams) : peers);
                 return sent_dgrams + resent;
             }
             BACP_ASSERT_MSG(tolerable_send_errno(errno), "udp sendmmsg (gso) failed");
@@ -401,7 +406,7 @@ std::size_t UdpTransport::drain_sendmmsg(
     Scratch& sc = *scratch_;
     std::size_t sent = 0;
     while (sent < datagrams.size()) {
-        const int n = ::sendmmsg(fd_, sc.hdrs.data() + sent,
+        const int n = ::sendmmsg(fd_, sc.hdrs.get() + sent,
                                  static_cast<unsigned int>(datagrams.size() - sent), 0);
         ++stats_.syscalls_sent;
         if (n < 0) {
@@ -426,23 +431,19 @@ std::size_t UdpTransport::recv_batch(RecvBatch& batch) {
     batch.clear();
     if (gro_on_) return recv_gro(batch);
     Scratch& sc = *scratch_;
-    const std::size_t cap = batch.capacity();
-    sc.shape(cap);
+    const std::size_t cap = std::min(batch.capacity(), kBatchSlots);
     for (std::size_t i = 0; i < cap; ++i) {
         const std::span<std::uint8_t> slot = batch.slot(i);
-        sc.iovs[i].iov_base = slot.data();
-        sc.iovs[i].iov_len = slot.size();
+        sc.wire(i, slot.data(), slot.size());
         // Record each datagram's source so a server can demux by peer;
         // the kernel rewrites msg_namelen per datagram, so reset it
-        // every call.  Clear any control block a GSO send entry staged.
+        // every call.
         sc.hdrs[i].msg_hdr.msg_name = &sc.addrs[i];
         sc.hdrs[i].msg_hdr.msg_namelen = sizeof(sc.addrs[i]);
-        sc.hdrs[i].msg_hdr.msg_control = nullptr;
-        sc.hdrs[i].msg_hdr.msg_controllen = 0;
     }
     int n;
     do {
-        n = ::recvmmsg(fd_, sc.hdrs.data(), static_cast<unsigned int>(cap), 0, nullptr);
+        n = ::recvmmsg(fd_, sc.hdrs.get(), static_cast<unsigned int>(cap), 0, nullptr);
         ++stats_.syscalls_received;
     } while (n < 0 && errno == EINTR);
     if (n < 0) {

@@ -399,14 +399,25 @@ public:
 
 private:
     /// Reusable mmsghdr/iovec/sockaddr/cmsg arrays for
-    /// sendmmsg/recvmmsg plus the GSO run map and GRO staging buffers;
-    /// sized to the largest batch seen, so the steady state never
-    /// allocates.  Defined in the .cpp to keep <sys/socket.h> out of
-    /// this header.
+    /// sendmmsg/recvmmsg plus the GSO run map and GRO staging buffers.
+    /// The header arrays have a fixed size (one syscall's worth) and
+    /// larger send batches go out in chunks of it, so no batch size
+    /// makes them grow.  Defined in the .cpp to keep <sys/socket.h> out
+    /// of this header.
     struct Scratch;
 
-    /// Shared sendmmsg drain loop behind send_batch / send_batch_to
-    /// (headers are already staged in scratch when this runs).
+    /// Behind send_batch / send_batch_to (empty \p peers = the connected
+    /// socket): hands the batch to send_gso or send_mmsg one scratch-sized
+    /// chunk at a time.
+    std::size_t send_chunked(std::span<const std::span<const std::uint8_t>> datagrams,
+                             std::span<const PeerAddr> peers);
+
+    /// Plain path: one mmsghdr per datagram, drained by drain_sendmmsg.
+    std::size_t send_mmsg(std::span<const std::span<const std::uint8_t>> datagrams,
+                          std::span<const PeerAddr> peers);
+
+    /// The sendmmsg drain loop (headers are already staged in scratch
+    /// when this runs).
     std::size_t drain_sendmmsg(std::span<const std::span<const std::uint8_t>> datagrams);
 
     /// GSO path: coalesces equal-stride runs into UDP_SEGMENT

@@ -294,7 +294,7 @@ public:
         while (ack_cursor_ < sent_new_ && !core_.can_resend(ack_cursor_)) {
             const SimTime sent = first_send_.get(ack_cursor_);
             if (sent != kNever) {
-                metrics_.ack_latency.add(env_.now() - sent);
+                ack_latency_->add(env_.now() - sent);
             }
             // Reclaim the retired message's expiry timer now instead of
             // letting it fire as a no-op: lazy cancellation would keep
@@ -517,6 +517,12 @@ public:
     /// Environments own the non-protocol counters (channel drops, decode
     /// errors) and the report's time stamps; they write them here.
     sim::Metrics& metrics_mut() { return metrics_; }
+
+    /// Records each retired message's ack latency into \p sink instead
+    /// of metrics().ack_latency, which then stays empty: an owner of
+    /// many sessions points them all at one histogram.  \p sink must
+    /// outlive the driver; call before start().
+    void record_ack_latency_into(Histogram& sink) { ack_latency_ = &sink; }
 
     /// Attach (or detach, with nullptr) a decision recorder.
     void set_decision_log(DecisionLog* log) { log_ = log; }
@@ -792,6 +798,7 @@ private:
     OneShotTimer quiescence_timer_;  // !kHasOracle oracle-mode approximation
     OneShotTimer arrival_timer_;     // open-loop workload ticks
     sim::Metrics metrics_;
+    Histogram* ack_latency_ = &metrics_.ack_latency;  // see record_ack_latency_into
 
     SimTime timeout_ = 0;
     SimTime data_lifetime_ = 0;  // cached cfg_.data_link.max_lifetime()

@@ -401,12 +401,12 @@ TEST(DriverParity, LinkLayerBoundedNak) {
     a.start();
     b.start();
     for (Seq i = 0; i < kCount; ++i) store.send(a, link_payload(i));
+    const net::TimerWheel* const wheels[] = {&wheel_a, &wheel_b};
     while (!(a.done() && b.done())) {
         if (a.poll() + b.poll() > 0) continue;
-        const auto next_a = wheel_a.next_deadline();
-        const auto next_b = wheel_b.next_deadline();
-        ASSERT_TRUE(next_a || next_b) << "net link wedged";
-        clock.advance_to(!next_b || (next_a && *next_a < *next_b) ? *next_a : *next_b);
+        const std::optional<SimTime> next = net::earliest_deadline(wheels);
+        ASSERT_TRUE(next) << "net link wedged";
+        clock.advance_to(*next);
     }
 
     EXPECT_EQ(des_sender.entries, net_sender.entries)

@@ -33,15 +33,13 @@ std::vector<std::uint8_t> payload_for(const char* tag, Seq i) {
 template <typename A, typename B>
 bool drive(net::ManualClock& clock, net::TimerWheel& wheel_a, net::TimerWheel& wheel_b, A& a,
            B& b) {
+    const net::TimerWheel* const wheels[] = {&wheel_a, &wheel_b};
     for (int steps = 0; steps < 200000; ++steps) {
         if (a.done() && b.done()) return true;
         if (a.poll() + b.poll() > 0) continue;
-        const auto next_a = wheel_a.next_deadline();
-        const auto next_b = wheel_b.next_deadline();
-        if (!next_a && !next_b) return false;  // wedged
-        SimTime next = next_a ? *next_a : *next_b;
-        if (next_b && *next_b < next) next = *next_b;
-        clock.advance_to(next);
+        const std::optional<SimTime> next = net::earliest_deadline(wheels);
+        if (!next) return false;  // wedged
+        clock.advance_to(*next);
     }
     return false;
 }
@@ -200,6 +198,7 @@ TEST(NetReliableLink, SendStoreHoldsAtMostWindowPlusQueue) {
 
     const auto& sender = a.endpoint().tx_driver();
     std::size_t worst_excess = 0;  // max over the run of held - (w + queued)
+    const net::TimerWheel* const wheels[] = {&wheel_a, &wheel_b};
     Seq next = 0;
     while (!(a.done() && b.done())) {
         while (next < kCount && sender.released() - sender.sent_new() < kQueue) {
@@ -211,10 +210,9 @@ TEST(NetReliableLink, SendStoreHoldsAtMostWindowPlusQueue) {
             }
         }
         if (a.poll() + b.poll() > 0) continue;
-        const auto next_a = wheel_a.next_deadline();
-        const auto next_b = wheel_b.next_deadline();
-        ASSERT_TRUE(next_a || next_b) << "wedged after " << in_order << " deliveries";
-        clock.advance_to(!next_b || (next_a && *next_a < *next_b) ? *next_a : *next_b);
+        const std::optional<SimTime> due = net::earliest_deadline(wheels);
+        ASSERT_TRUE(due) << "wedged after " << in_order << " deliveries";
+        clock.advance_to(*due);
     }
     EXPECT_EQ(in_order, kCount);
     EXPECT_EQ(a.sent_count(), kCount);

@@ -81,6 +81,9 @@ ServerConfig server_config() {
 /// remains.
 void drive(ManualClock& clock, Server<Core>& server, std::vector<Client*> clients,
            SimTime deadline = 120 * kSecond) {
+    std::vector<const TimerWheel*> wheels;
+    for (std::size_t i = 0; i < server.shard_count(); ++i) wheels.push_back(&server.shard_wheel(i));
+    for (Client* c : clients) wheels.push_back(c->wheel.get());
     for (;;) {
         for (;;) {
             std::size_t work = server.poll();
@@ -90,14 +93,7 @@ void drive(ManualClock& clock, Server<Core>& server, std::vector<Client*> client
         bool all_done = true;
         for (Client* c : clients) all_done = all_done && c->sender->done();
         if (all_done) return;
-        std::optional<SimTime> next;
-        const auto consider = [&next](std::optional<SimTime> d) {
-            if (d && (!next || *d < *next)) next = d;
-        };
-        for (std::size_t i = 0; i < server.shard_count(); ++i) {
-            consider(server.shard_wheel(i).next_deadline());
-        }
-        for (Client* c : clients) consider(c->sender->wheel().next_deadline());
+        const std::optional<SimTime> next = earliest_deadline(wheels);
         if (!next || *next > deadline) return;
         clock.advance_to(*next);
     }
@@ -254,20 +250,15 @@ TEST(Server, MidWindowCrashThenEpochRejoinDeliversExactlyOnce) {
     // First incarnation: conn 9, epoch 1, intends 24 messages but dies
     // mid-window -- un-acked frames still in flight, all soft state gone.
     Client a = make_client(hub, clock, client_config(24, wire::Conn{9, 1}));
+    std::vector<const TimerWheel*> wheels = {a.wheel.get()};
+    for (std::size_t i = 0; i < server.shard_count(); ++i) wheels.push_back(&server.shard_wheel(i));
     while (server.protocol_metrics().delivered < 12) {
         for (;;) {
             const std::size_t work = server.poll() + a.sender->poll();
             if (work == 0 || server.protocol_metrics().delivered >= 12) break;
         }
         if (server.protocol_metrics().delivered >= 12) break;
-        std::optional<SimTime> next;
-        const auto consider = [&next](std::optional<SimTime> d) {
-            if (d && (!next || *d < *next)) next = d;
-        };
-        for (std::size_t i = 0; i < server.shard_count(); ++i) {
-            consider(server.shard_wheel(i).next_deadline());
-        }
-        consider(a.sender->wheel().next_deadline());
+        const std::optional<SimTime> next = earliest_deadline(wheels);
         ASSERT_TRUE(next.has_value());
         clock.advance_to(*next);
     }
@@ -432,6 +423,8 @@ TEST(ClientFleet, ManySessionsOverFewSocketsCompleteWithinAdmissionWindow) {
     const std::unique_ptr<Transport> s2 = hub.make_client();
     ClientFleet<Core> fleet(fcfg, {}, clock, {s0.get(), s1.get(), s2.get()});
 
+    std::vector<const TimerWheel*> wheels = {&fleet.wheel()};
+    for (std::size_t i = 0; i < server.shard_count(); ++i) wheels.push_back(&server.shard_wheel(i));
     std::size_t max_active_seen = 0;
     while (!fleet.done()) {
         for (;;) {
@@ -440,11 +433,7 @@ TEST(ClientFleet, ManySessionsOverFewSocketsCompleteWithinAdmissionWindow) {
             if (work == 0) break;
         }
         if (fleet.done()) break;
-        std::optional<SimTime> next = fleet.wheel().next_deadline();
-        for (std::size_t i = 0; i < server.shard_count(); ++i) {
-            const auto d = server.shard_wheel(i).next_deadline();
-            if (d && (!next || *d < *next)) next = d;
-        }
+        const std::optional<SimTime> next = earliest_deadline(wheels);
         ASSERT_TRUE(next) << "fleet stalled with no armed deadline";
         ASSERT_LT(*next, 120 * kSecond);
         clock.advance_to(*next);

@@ -1,7 +1,9 @@
 // Per-session memory: what a Server session and a ClientFleet member
 // actually hold on the heap, the lazily allocated Histogram that makes
-// most of it unnecessary, and the receive arena whose pages stay
-// non-resident until datagrams land in them.
+// most of it unnecessary, the fleet's one ack-latency histogram that
+// replaces each member's own, the receive arena whose pages stay
+// non-resident until datagrams land in them, and the UDP send scratch
+// that no burst size makes grow.
 //
 // A byte-counting operator new (the test_flat_table shape, plus sizes)
 // attributes live heap growth to the server or the fleet call that caused
@@ -29,6 +31,7 @@
 #include "net/client_fleet.hpp"
 #include "net/clock.hpp"
 #include "net/inproc_hub.hpp"
+#include "net/offload.hpp"
 #include "net/server.hpp"
 #include "net/transport.hpp"
 
@@ -219,6 +222,23 @@ struct Footprint {
     std::size_t delivered = 0;
 };
 
+/// Polls both sides until neither has work, then jumps the clock to the
+/// earliest armed timer, until the fleet is done (or nothing is armed
+/// within a minute).
+template <typename PollFleet, typename PollServer>
+void run_to_done(ManualClock& clock, ClientFleet<Core>& fleet, Server<Core>& server,
+                 PollFleet poll_fleet, PollServer poll_server) {
+    const TimerWheel* const wheels[] = {&fleet.wheel(), &server.shard_wheel(0)};
+    while (!fleet.done()) {
+        while (poll_fleet() + poll_server() > 0) {
+        }
+        if (fleet.done()) break;
+        const std::optional<SimTime> next = earliest_deadline(wheels);
+        if (!next || *next > 60 * kSecond) break;
+        clock.advance_to(*next);
+    }
+}
+
 /// Runs kSessions fleet sessions against a one-shard server to
 /// completion, attributing live heap growth to whichever side's call
 /// caused it.  The server's own construction (shard arena, table
@@ -261,17 +281,7 @@ Footprint measure() {
         fleet_bytes += c.live_bytes();
         return work;
     };
-    while (!fleet->done()) {
-        while (poll_fleet() + poll_server() > 0) {
-        }
-        if (fleet->done()) break;
-        std::optional<SimTime> next = fleet->wheel().next_deadline();
-        if (const auto d = server.shard_wheel(0).next_deadline(); d && (!next || *d < *next)) {
-            next = d;
-        }
-        if (!next || *next > 60 * kSecond) break;
-        clock.advance_to(*next);
-    }
+    run_to_done(clock, *fleet, server, poll_fleet, poll_server);
     EXPECT_TRUE(fleet->done());
     EXPECT_EQ(server.session_count(), kSessions);
 
@@ -288,10 +298,11 @@ Footprint measure() {
 // Measured with glibc's usable sizes on x86-64, g++ 12: eager
 // histograms and a 40-frame send slab held 74864 B per server session and
 // 75266 B per fleet member.  Lazy histograms and a two-frame slab leave
-// 6096 B and 21866 B (a fleet member feeds one ack-latency histogram,
-// 15 KiB).  Each bound is at most half the eager figure.
+// 6096 B per server session; a fleet member that also fed its own
+// ack-latency histogram (15 KiB) held 21866 B, and one that records into
+// the fleet's shared histogram holds 6754 B.
 constexpr double kServerBound = 8 * 1024;
-constexpr double kFleetBound = 24 * 1024;
+constexpr double kFleetBound = 8 * 1024;
 
 TEST(SessionFootprint, ServerSessionsAndFleetMembersHoldOnlyWhatTheyUse) {
     const Footprint f = measure();
@@ -316,6 +327,62 @@ TEST(SessionFootprint, ArenaBudgetEstimateTracksCountedBytes) {
         static_cast<double>(cfg.arena_budget) / static_cast<double>(server.session_cap());
     EXPECT_GE(estimate, 0.5 * f.server_per_session) << "estimate " << estimate;
     EXPECT_LE(estimate, 2.0 * f.server_per_session) << "estimate " << estimate;
+}
+
+/// Ack-latency answers of the run below, recorded on the parent commit
+/// by merging every member's own tx_metrics().ack_latency (when each
+/// member still fed its own histogram).  The clock advances with each
+/// poll's work and small rings drop first windows, so the samples span
+/// queueing delays and one-second retransmit timeouts.
+constexpr std::int64_t kFleetAckMin = 38'000;
+constexpr std::int64_t kFleetAckMax = 1'000'126'000;
+constexpr std::int64_t kFleetAckP50 = 50'175;
+constexpr std::int64_t kFleetAckP99 = 1'000'126'000;
+
+TEST(FleetAckLatency, OneHistogramRecordsEveryMembersAcks) {
+    ManualClock clock;
+    InprocHub hub(8, 40);
+    Server<Core> server(server_config(), {}, clock, {&hub.server()});
+    std::vector<std::unique_ptr<Transport>> sockets;
+    std::vector<Transport*> raw;
+    for (int i = 0; i < 4; ++i) {
+        sockets.push_back(hub.make_client());
+        raw.push_back(sockets.back().get());
+    }
+    FleetConfig fcfg;
+    fcfg.session = fleet_shape();
+    fcfg.session.count = kMessages;
+    fcfg.sessions = kSessions;
+    fcfg.max_active = 24;
+    fcfg.recv_batch = 64;
+    ClientFleet<Core> fleet(fcfg, typename Core::Options{}, clock, raw);
+    run_to_done(
+        clock, fleet, server,
+        [&] {
+            const std::size_t work = fleet.poll();
+            clock.advance(3 * kMicrosecond * static_cast<SimTime>(1 + work));
+            return work;
+        },
+        [&] {
+            const std::size_t work = server.poll();
+            clock.advance(5 * kMicrosecond * static_cast<SimTime>(1 + work % 4));
+            return work;
+        });
+    ASSERT_TRUE(fleet.done());
+
+    std::uint64_t sent = 0;
+    for (std::size_t i = 0; i < fleet.session_count(); ++i) {
+        sent += fleet.session(i).tx_driver().sent_new();
+        EXPECT_EQ(fleet.session(i).tx_metrics().ack_latency.count(), 0u) << "member " << i;
+    }
+    EXPECT_EQ(sent, kSessions * kMessages);
+
+    const Histogram& h = fleet.ack_latency();
+    EXPECT_EQ(h.count(), sent);
+    EXPECT_EQ(h.min(), kFleetAckMin);
+    EXPECT_EQ(h.max(), kFleetAckMax);
+    EXPECT_EQ(h.quantile(0.5), kFleetAckP50);
+    EXPECT_EQ(h.quantile(0.99), kFleetAckP99);
 }
 
 }  // namespace sessions
@@ -359,6 +426,51 @@ TEST(RecvBatchFootprint, ArenaIsNotResidentUntilDatagramsLand) {
         if (n == 0) net::wait_readable(fds, 10 * kMillisecond);
     }
     EXPECT_EQ(got, sent);
+}
+
+// ---- send scratch -------------------------------------------------------
+
+/// Sends \p count datagrams of \p stride bytes, packed back to back the
+/// way SendBatch stages them, through \p tx in one send_batch call.
+/// Returns how many allocations the call made.
+std::uint64_t send_burst(net::Transport& tx, std::size_t count, std::size_t stride) {
+    std::vector<std::uint8_t> slab(count * stride);
+    for (std::size_t k = 0; k < slab.size(); ++k) slab[k] = static_cast<std::uint8_t>(k * 7);
+    std::vector<std::span<const std::uint8_t>> spans;
+    for (std::size_t i = 0; i < count; ++i) spans.emplace_back(slab.data() + i * stride, stride);
+    std::size_t accepted = 0;
+    std::uint64_t allocs = 0;
+    {
+        Counting c;
+        accepted = tx.send_batch(spans);
+        allocs = c.allocs();
+    }
+    EXPECT_EQ(accepted, count);
+    return allocs;
+}
+
+/// Reads until \p rx stays empty for 10 ms.
+void drain(net::Transport& rx) {
+    net::RecvBatch batch(256, 2048);
+    const int fds[] = {rx.fd()};
+    while (rx.recv_batch(batch) > 0 || net::wait_readable(fds, 10 * kMillisecond)) {
+    }
+}
+
+TEST(UdpSendFootprint, BurstFourTimesTheWarmUpAllocatesNothing) {
+    for (const net::OffloadMode mode : {net::OffloadMode::Mmsg, net::OffloadMode::Gso}) {
+        auto [a, b] = net::UdpTransport::make_pair();
+        a->enable_offload(mode);
+        b->enable_offload(mode);
+        // 300 then 1200: the larger burst also crosses one sendmmsg
+        // call's 1024-header limit.
+        send_burst(*a, 300, 120);
+        drain(*b);
+        EXPECT_EQ(send_burst(*a, 1200, 120), 0u)
+            << "tier " << net::offload_mode_name(a->offload_tier());
+        drain(*b);
+        EXPECT_EQ(a->stats().datagrams_sent, 1500u);
+    }
 }
 
 }  // namespace
