@@ -38,7 +38,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -186,6 +185,8 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
     std::vector<const TimerWheel*> wheels;
     for (std::size_t i = 0; i < server.shard_count(); ++i) wheels.push_back(&server.shard_wheel(i));
     for (const Client& c : clients) wheels.push_back(c.wheel.get());
+    std::vector<int> shard_fds;
+    for (const auto& s : shard_sockets) shard_fds.push_back(s->fd());
 
     const double start = now_sec();
     const double deadline = start + 120.0;
@@ -214,18 +215,13 @@ ScaleResult run_point(std::size_t sessions, Seq count, std::size_t shards,
         }
         if (now_sec() > deadline) break;
         // An idle round with nothing newly in flight means everyone is
-        // waiting on a timer (the send-horizon tick, usually).  Sleep to
+        // waiting on a timer (the send-horizon tick, usually).  Wait for
         // the earliest deadline instead of burning empty recv probes.
+        // Loopback delivers at send, so no datagram is in flight either;
+        // the shard sockets are the descriptors to wake on (every client
+        // socket too would put the poll set on the heap mid-gate).
         const std::uint64_t sent_now = sent_total();
-        if (work == 0 && sent_now == last_sent) {
-            if (const auto next = earliest_deadline(wheels)) {
-                const SimTime gap = *next - clock.now();
-                if (gap > 0) {
-                    std::this_thread::sleep_for(std::chrono::nanoseconds(
-                        std::min<SimTime>(gap, 2 * kMillisecond)));
-                }
-            }
-        }
+        if (work == 0 && sent_now == last_sent) idle_wait(shard_fds, wheels);
         last_sent = sent_now;
     }
     out.wall_sec = now_sec() - start;

@@ -44,7 +44,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -171,6 +170,8 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
 
     std::vector<const TimerWheel*> wheels = {&fleet.wheel()};
     for (std::size_t i = 0; i < server.shard_count(); ++i) wheels.push_back(&server.shard_wheel(i));
+    std::vector<int> fleet_fds;
+    for (const auto& t : sockets) fleet_fds.push_back(t->fd());
 
     const double start = now_sec();
     const double deadline = start + 240.0;
@@ -195,15 +196,9 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
             break;
         }
         if (now_sec() > deadline) break;
-        if (work == 0) {
-            if (const auto next = earliest_deadline(wheels)) {
-                const SimTime gap = *next - clock.now();
-                if (gap > 0) {
-                    std::this_thread::sleep_for(std::chrono::nanoseconds(
-                        std::min<SimTime>(gap, 2 * kMillisecond)));
-                }
-            }
-        }
+        // Idle: the server drained whatever the fleet sent this round,
+        // so wait for a reply on the fleet's sockets or the next timer.
+        if (work == 0) idle_wait(fleet_fds, wheels);
     }
     out.wall_sec = now_sec() - start;
     bench::stop_alloc_probe();

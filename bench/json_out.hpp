@@ -30,14 +30,16 @@ class Json {
 public:
     Json() : value_(nullptr) {}
 
-    static Json str(std::string s) { return Json(Value{std::move(s)}); }
-    static Json num(double v) { return Json(Value{v}); }
-    static Json num(std::uint64_t v) { return Json(Value{static_cast<std::int64_t>(v)}); }
-    static Json num(std::int64_t v) { return Json(Value{v}); }
-    static Json num(int v) { return Json(Value{static_cast<std::int64_t>(v)}); }
-    static Json boolean(bool v) { return Json(Value{v}); }
-    static Json array() { return Json(Value{Array{}}); }
-    static Json object() { return Json(Value{Object{}}); }
+    static Json str(std::string s) { return Json(std::in_place_type<std::string>, std::move(s)); }
+    static Json num(double v) { return Json(std::in_place_type<double>, v); }
+    static Json num(std::uint64_t v) {
+        return Json(std::in_place_type<std::int64_t>, static_cast<std::int64_t>(v));
+    }
+    static Json num(std::int64_t v) { return Json(std::in_place_type<std::int64_t>, v); }
+    static Json num(int v) { return Json(std::in_place_type<std::int64_t>, v); }
+    static Json boolean(bool v) { return Json(std::in_place_type<bool>, v); }
+    static Json array() { return Json(std::in_place_type<Array>); }
+    static Json object() { return Json(std::in_place_type<Object>); }
 
     Json& push(Json v) {
         std::get<Array>(value_).push_back(std::move(v));
@@ -61,7 +63,12 @@ private:
     using Value = std::variant<std::nullptr_t, bool, std::int64_t, double, std::string,
                                Array, Object>;
 
-    explicit Json(Value v) : value_(std::move(v)) {}
+    /// Builds the alternative straight inside value_: no Value temporary
+    /// to move from (whose unused vector members g++ 12 then reports as
+    /// maybe-uninitialized under the sanitizers).
+    template <typename T, typename... Args>
+    explicit Json(std::in_place_type_t<T> type, Args&&... args)
+        : value_(type, std::forward<Args>(args)...) {}
 
     static void escape(std::ostream& os, const std::string& s) {
         os << '"';

@@ -4,7 +4,8 @@
 #   $ scripts/check.sh            # sanitized tier-1 suite
 #   $ scripts/check.sh --fast     # plain build, no sanitizers
 #
-# Exits nonzero on any build failure, test failure, or sanitizer report.
+# Exits nonzero on any build failure, compiler warning, test failure, or
+# sanitizer report.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,8 +17,20 @@ if [[ "${1:-}" == "--fast" ]]; then
     SANITIZE=OFF
 fi
 
+# Both modes build warning-free; a "warning:" line in this script's own
+# build log fails it.  Only what the build compiles is seen, so an
+# up-to-date tree passes whatever it printed before: CI builds cold.
+fail_on_warnings() {
+    if grep -q "warning:" "$1"; then
+        echo "build printed compiler warnings (see $1):" >&2
+        grep "warning:" "$1" >&2
+        exit 1
+    fi
+}
+
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBACP_SANITIZE="$SANITIZE"
-cmake --build "$BUILD_DIR" -j"$(nproc)"
+cmake --build "$BUILD_DIR" -j"$(nproc)" 2>&1 | tee "$BUILD_DIR/build.log"
+fail_on_warnings "$BUILD_DIR/build.log"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 
 # Example smoke runs: the discrete-event link layer end to end.  Each
@@ -138,7 +151,9 @@ BUILD_DIR="$BUILD_DIR" scripts/sweep.sh --verify e8
 if [[ "$SANITIZE" == OFF ]]; then
     PERF_DIR="$BUILD_DIR-perfbench"
     cmake -S perfbench -B "$PERF_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build "$PERF_DIR" -j"$(nproc)" --target perfbench_driver
+    cmake --build "$PERF_DIR" -j"$(nproc)" --target perfbench_driver 2>&1 |
+        tee "$PERF_DIR/build.log"
+    fail_on_warnings "$PERF_DIR/build.log"
     for workload in bulk duplex_lossy fleet des; do
         echo "== perfbench smoke: $workload (0.5 s) =="
         status=0

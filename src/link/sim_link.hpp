@@ -51,6 +51,9 @@ public:
 
     TimerService& timer_service() { return sim_; }
     SimTime now() const { return sim_.now(); }
+    /// Simulated time never moves inside a call: a step holds nothing.
+    struct Step {};
+    Step step() const { return {}; }
 
     template <typename Encode>
     void stage(Encode&& encode) {

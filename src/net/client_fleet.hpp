@@ -140,8 +140,9 @@ public:
 
     /// One event-loop iteration: fire due timers (retransmits stage onto
     /// the socket batches), drain every socket -- demuxing each ack to
-    /// its session -- admit sessions into freed slots, and flush each
-    /// socket's staged frames as one batch.  Returns units of work.
+    /// its session, one step per ack -- admit sessions into freed slots
+    /// (one step for all of them), and flush each socket's staged frames
+    /// as one batch.  Returns units of work.
     std::size_t poll() {
         std::size_t work = wheel_->fire_due();
         for (const auto& sock : sockets_) {
@@ -250,6 +251,7 @@ private:
             ++stats_.unknown_conn_drops;
             return;
         }
+        const auto step = wheel_->step();  // one clock reading per ack
         Member& m = *members_[static_cast<std::size_t>(conn - cfg_.first_conn)];
         if (!m.touched) {
             m.touched = true;
@@ -269,6 +271,8 @@ private:
     /// with this tick's flush.
     std::size_t admit() {
         const std::size_t cap = cfg_.max_active > 0 ? cfg_.max_active : members_.size();
+        if (next_start_ == members_.size() || active_count() >= cap) return 0;
+        const auto step = wheel_->step();  // every start of this call at one instant
         std::size_t admitted = 0;
         while (next_start_ < members_.size() && active_count() < cap) {
             members_[next_start_]->sender.start();

@@ -10,6 +10,12 @@
 /// single-process pair driver so in-process runs are exactly reproducible
 /// (the property the simulator gets for free and real time normally
 /// destroys).
+///
+/// Endpoints never read a Clock themselves: their TimerWheel does, once
+/// per step (one datagram, one fire_due() pass, one application call),
+/// and hands every decision of the step that one reading -- see
+/// timer_wheel.hpp.  A ManualClock cannot move inside a step, so
+/// deterministic runs are the same either way.
 
 #include <chrono>
 

@@ -239,6 +239,8 @@ public:
     TimerService& timer_service() { return wheel_; }
     SimTime now() const { return wheel_.now(); }
     TimerWheel& wheel() { return wheel_; }
+    /// Opens a step on the wheel: one clock reading for the call.
+    TimerWheel::Step step() { return wheel_.step(); }
 
     /// Stages one frame, serialized by \p encode straight onto the batch
     /// slab -- no per-frame allocation once the slab is at high water.
@@ -261,10 +263,10 @@ public:
 
     /// One event-loop iteration: fires due timers, pushes out matured
     /// delayed copies, then hands every datagram currently readable --
-    /// drained a whole arena at a time -- to \p on_datagram, and finally
-    /// flushes everything the tick staged (new sends, retransmits, acks)
-    /// as one batch.  Returns how many units of work (timers +
-    /// datagrams) were processed.
+    /// drained a whole arena at a time -- to \p on_datagram, one step
+    /// per datagram, and finally flushes everything the tick staged (new
+    /// sends, retransmits, acks) as one batch.  Returns how many units
+    /// of work (timers + datagrams) were processed.
     template <typename OnDatagram>
     std::size_t poll(OnDatagram&& on_datagram) {
         std::size_t work = wheel_.fire_due();
@@ -272,7 +274,10 @@ public:
         RecvBatch& rx = rx_batch();
         for (;;) {
             const std::size_t n = transport_->recv_batch(rx);
-            for (std::size_t i = 0; i < n; ++i) on_datagram(rx[i]);
+            for (std::size_t i = 0; i < n; ++i) {
+                const auto step = wheel_.step();
+                on_datagram(rx[i]);
+            }
             work += n;
             if (n < rx.capacity()) break;
         }
@@ -309,10 +314,10 @@ private:
 ///                      -- the discrete-event link layer (ReliableLink,
 ///                      StreamMux, the multihop paths, DuplexSession).
 ///
-/// A Port supplies timer_service(), now(), stage(encode), staged() and
-/// flush(); poll() and wheel() exist only for ports that own a receive
-/// loop (NetPort).  On either port the endpoint advertises kHasOracle =
-/// false: it cannot prove its channels empty, so the driver
+/// A Port supplies timer_service(), now(), step(), stage(encode),
+/// staged() and flush(); poll() and wheel() exist only for ports that
+/// own a receive loop (NetPort).  On either port the endpoint advertises
+/// kHasOracle = false: it cannot prove its channels empty, so the driver
 /// approximates the oracle timeout modes with its quiescence timer.
 ///
 /// Payload bytes default to the verifiable pattern; set_payload_source /
@@ -348,16 +353,19 @@ public:
     NetEndpoint& operator=(const NetEndpoint&) = delete;
 
     /// Opens the faucet of the sending half (a pure receiver has none).
-    /// Call once before the poll loop.
+    /// Call once before the poll loop.  One step.
     void start() {
+        [[maybe_unused]] const auto step = port_.step();
         if (cfg_.count > 0) duplex_.start();
         port_.flush();
     }
 
     /// Application-gated arrivals (EngineConfig::app_arrivals): the
     /// caller queued \p n more payloads with its payload source, so the
-    /// window may pump them now.  Flushes whatever the pump staged.
+    /// window may pump them now.  Flushes whatever the pump staged.  One
+    /// step.
     void release(Seq n) {
+        [[maybe_unused]] const auto step = port_.step();
         duplex_.release(n);
         port_.flush();
     }

@@ -285,9 +285,9 @@ public:
     std::size_t session_cap() const { return shard_cap_; }
 
     /// One event-loop iteration of shard \p idx: fire its wheel, drain
-    /// its socket (demuxing each datagram to its session), flush the
-    /// tick's egress as one addressed batch, and periodically sweep for
-    /// idle sessions.  Each shard must be polled by one thread only;
+    /// its socket (demuxing each datagram to its session, one step per
+    /// datagram), flush the tick's egress as one addressed batch, and
+    /// periodically sweep for idle sessions.  Each shard must be polled by one thread only;
     /// distinct shards may be polled concurrently.
     std::size_t poll_shard(std::size_t idx) {
         Shard& s = *shards_[idx];
@@ -508,6 +508,9 @@ private:
             return;  // treated as loss
         }
         const wire::FrameView& frame = result.frame();
+        // One step: opening, resetting and driving the session share
+        // one clock reading.
+        const auto step = s.wheel->step();
         // v1 peers carry no tag: they are the single legacy session at
         // their address, conn id 0, epoch 0.
         const bool tagged = frame.conn.tagged();

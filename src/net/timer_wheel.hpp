@@ -21,6 +21,17 @@
 /// no-op, and equal deadlines fire in schedule order.  A handler may
 /// schedule new timers freely; ones already due fire within the same
 /// fire_due() call.
+///
+/// The wheel is also the clock of every endpoint on it, and it reads
+/// that clock once per *step*: one datagram handed to an endpoint, one
+/// fire_due() pass, or one application call (see Step).  Inside a step,
+/// now() and schedule_after() use the reading taken when the step
+/// opened -- every decision of the step happens at one instant, as
+/// every event does in the simulator -- and outside one they read the
+/// clock afresh.  A wheel belongs to one thread (its event loop), which
+/// is what lets the step state be plain members.  DESIGN.md section 8
+/// has the argument that a per-step stamp keeps the protocol's time
+/// margins.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +49,26 @@ class TimerWheel final : public TimerService {
 public:
     explicit TimerWheel(Clock& clock) : clock_(&clock) {}
 
-    SimTime now() const override { return clock_->now(); }
+    /// One step's clock reading, held for the guard's lifetime.  The
+    /// outermost guard reads the clock; nested guards reuse its reading.
+    class Step {
+    public:
+        explicit Step(TimerWheel& wheel) : wheel_(wheel) {
+            if (wheel_.open_steps_++ == 0) wheel_.stamp_ = wheel_.clock_->now();
+        }
+        ~Step() { --wheel_.open_steps_; }
+        Step(const Step&) = delete;
+        Step& operator=(const Step&) = delete;
+
+    private:
+        TimerWheel& wheel_;
+    };
+
+    /// Opens a step: `const auto step = wheel.step();`.
+    [[nodiscard]] Step step() { return Step(*this); }
+
+    /// The open step's reading, or the clock itself outside a step.
+    SimTime now() const override { return open_steps_ > 0 ? stamp_ : clock_->now(); }
 
     TimerId schedule_after(SimTime delay, Handler fn) override;
 
@@ -50,7 +80,8 @@ public:
     std::optional<SimTime> next_deadline() const { return wheel_.next_deadline(); }
 
     /// Fires every timer whose deadline has been reached, in deadline
-    /// (then FIFO) order; returns how many fired.
+    /// (then FIFO) order; returns how many fired.  The pass is one step:
+    /// the handlers see the reading that found them due.
     std::size_t fire_due();
 
     /// Live (armed, not yet fired or cancelled) timers.
@@ -83,6 +114,8 @@ public:
 
 private:
     Clock* clock_;
+    std::uint32_t open_steps_ = 0;  // Step guards alive on this wheel
+    SimTime stamp_ = 0;             // their shared reading
     HierTimerWheel<Handler> wheel_;
     std::uint64_t fire_batches_ = 0;
     std::uint64_t timers_fired_ = 0;

@@ -559,8 +559,11 @@ private:
     void pump_send() {
         while (sent_new_ < cfg_.count && sent_new_ < app_released_ && core_.can_send_new()) {
             if constexpr (kTimeGatedSend) {
-                // One now() snapshot for the whole decision: under a real
-                // clock, time advances between reads, and a deadline that
+                // One now() snapshot for the whole decision.  Inside a
+                // net::TimerWheel step (each datagram, fire_due pass and
+                // application call) now() returns one reading anyway;
+                // the snapshot covers callers outside a step, where a
+                // real clock advances between reads and a deadline that
                 // tested as future against the first read can be past by
                 // the next -- handing the timer wheel a negative delay.
                 const SimTime now = env_.now();

@@ -1,5 +1,7 @@
 #include "wire/codec.hpp"
 
+#include <utility>
+
 #include "common/assert.hpp"
 #include "wire/buffer.hpp"
 #include "wire/crc32.hpp"
@@ -246,6 +248,20 @@ ViewResult decode_view(std::span<const std::uint8_t> bytes) {
     }
 }
 
+namespace {
+
+/// A successful result, the frame built straight inside it: moving a
+/// DecodedFrame temporary in instead makes g++ 12 report the other
+/// alternatives' payload vectors as maybe-uninitialized under the
+/// sanitizers.
+template <typename Frame>
+DecodeResult decoded(Frame frame) {
+    return DecodeResult{decltype(DecodeResult::value)(
+        std::in_place_type<DecodedFrame>, std::in_place_type<Frame>, std::move(frame))};
+}
+
+}  // namespace
+
 DecodeResult decode(std::span<const std::uint8_t> bytes) {
     const ViewResult parsed = decode_view(bytes);
     if (!parsed.ok()) return {parsed.error()};
@@ -258,13 +274,12 @@ DecodeResult decode(std::span<const std::uint8_t> bytes) {
             frame.stream = view.stream;
             frame.conn = view.conn;
             frame.payload.assign(view.payload.begin(), view.payload.end());
-            return {DecodedFrame{std::move(frame)}};
+            return decoded(std::move(frame));
         }
         case FrameType::Ack:
-            return {DecodedFrame{AckFrame{view.lo, view.hi, view.flags, view.stream,
-                                          view.conn}}};
+            return decoded(AckFrame{view.lo, view.hi, view.flags, view.stream, view.conn});
         case FrameType::Nak:
-            return {DecodedFrame{NakFrame{view.seq, view.flags, view.stream, view.conn}}};
+            return decoded(NakFrame{view.seq, view.flags, view.stream, view.conn});
         case FrameType::DataAck: {
             DataAckFrame frame;
             frame.seq = view.seq;
@@ -274,7 +289,7 @@ DecodeResult decode(std::span<const std::uint8_t> bytes) {
             frame.stream = view.stream;
             frame.conn = view.conn;
             frame.payload.assign(view.payload.begin(), view.payload.end());
-            return {DecodedFrame{std::move(frame)}};
+            return decoded(std::move(frame));
         }
     }
     return {DecodeError::BadType};  // unreachable: decode_view validated type
