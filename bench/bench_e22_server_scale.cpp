@@ -103,6 +103,11 @@ struct ScaleResult {
         if (sessions == 0) return 0;
         return static_cast<double>(bytes_delivered) / static_cast<double>(sessions);
     }
+    /// Block acks the server's sessions sent per message they delivered.
+    double acks_per_msg() const {
+        if (delivered == 0) return 0;
+        return static_cast<double>(server_protocol.acks_sent) / static_cast<double>(delivered);
+    }
 };
 
 struct Client {
@@ -309,7 +314,7 @@ int main(int argc, char** argv) {
     if (max_sessions >= 100) sweep.push_back(max_sessions / 10);
     sweep.push_back(max_sessions);
 
-    workload::Table table({"sessions", "msgs/session", "goodput", "acks/sendmmsg",
+    workload::Table table({"sessions", "msgs/session", "goodput", "acks/msg", "acks/sendmmsg",
                            "p99 ack", "KiB/session", "steady allocs/dgram", "done"});
     bench::Json points = bench::Json::array();
     bool over_budget = false;
@@ -329,6 +334,7 @@ int main(int argc, char** argv) {
         }
         table.add_row({std::to_string(sessions), std::to_string(count),
                        workload::fmt(r.goodput_mbps(), 0) + " Mbit/s",
+                       workload::fmt(r.acks_per_msg(), 2),
                        workload::fmt(r.dgrams_per_syscall, 2),
                        workload::fmt(static_cast<double>(r.p99_latency_ns) / 1e3, 0) +
                            " us",
@@ -342,6 +348,7 @@ int main(int argc, char** argv) {
                      bench::Json::num(static_cast<std::uint64_t>(count)))
                 .set("completed", bench::Json::boolean(r.completed))
                 .set("goodput_mbps", bench::Json::num(r.goodput_mbps()))
+                .set("acks_per_msg", bench::Json::num(r.acks_per_msg()))
                 .set("dgrams_per_syscall", bench::Json::num(r.dgrams_per_syscall))
                 .set("p99_ack_latency_ns",
                      bench::Json::num(static_cast<std::uint64_t>(r.p99_latency_ns)))

@@ -99,11 +99,17 @@ struct FleetResult {
     Metrics server_transport;
     ServerStats server_stats;
     FleetStats fleet_stats;
+    sim::Metrics server_protocol;  // summed over the sessions the server still holds
     sim::Metrics client_protocol;
 
     double rate_msgs_per_sec() const {
         if (wall_sec <= 0) return 0;
         return static_cast<double>(delivered) / wall_sec;
+    }
+    /// Block acks the server's sessions sent per message they delivered.
+    double acks_per_msg() const {
+        if (delivered == 0) return 0;
+        return static_cast<double>(server_protocol.acks_sent) / static_cast<double>(delivered);
     }
 };
 
@@ -213,6 +219,7 @@ FleetResult run_point(std::size_t sessions, std::size_t shards, std::size_t flee
     out.server_transport = server.transport_metrics();
     out.server_stats = server.stats();
     out.fleet_stats = fleet.stats();
+    out.server_protocol = server.protocol_metrics();
     out.client_protocol = fleet.protocol_metrics();
     out.p50_ack_ns = fleet.ack_latency().quantile(0.5);
     out.p99_ack_ns = fleet.ack_latency().quantile(0.99);
@@ -316,7 +323,8 @@ int main(int argc, char** argv) {
         sweep = {1000, 10'000, max_sessions};
     }
 
-    workload::Table table({"sessions", "held peak", "wall", "msgs/s", "dgrams/sendmmsg",
+    workload::Table table({"sessions", "held peak", "wall", "msgs/s", "acks/msg",
+                           "dgrams/sendmmsg",
                            "p50 ack", "p99 ack", "steady allocs/dgram", "done"});
     bench::Json points = bench::Json::array();
     bool over_budget = false;
@@ -330,6 +338,7 @@ int main(int argc, char** argv) {
         table.add_row({std::to_string(sessions), std::to_string(r.held_peak),
                        workload::fmt(r.wall_sec, 1) + " s",
                        workload::fmt(r.rate_msgs_per_sec(), 0),
+                       workload::fmt(r.acks_per_msg(), 2),
                        workload::fmt(r.dgrams_per_syscall, 2),
                        workload::fmt(static_cast<double>(r.p50_ack_ns) / 1e3, 0) + " us",
                        workload::fmt(static_cast<double>(r.p99_ack_ns) / 1e3, 0) + " us",
@@ -346,6 +355,7 @@ int main(int argc, char** argv) {
                      bench::Json::num(static_cast<std::uint64_t>(r.held_final)))
                 .set("delivered", bench::Json::num(r.delivered))
                 .set("msgs_per_sec", bench::Json::num(r.rate_msgs_per_sec()))
+                .set("acks_per_msg", bench::Json::num(r.acks_per_msg()))
                 .set("dgrams_per_syscall", bench::Json::num(r.dgrams_per_syscall))
                 .set("p50_ack_latency_ns",
                      bench::Json::num(static_cast<std::uint64_t>(r.p50_ack_ns)))
@@ -356,6 +366,7 @@ int main(int argc, char** argv) {
                 .set("server_transport", bench::counters_json(r.server_transport))
                 .set("server_stats", bench::counters_json(r.server_stats))
                 .set("fleet_stats", bench::counters_json(r.fleet_stats))
+                .set("server_protocol", bench::counters_json(r.server_protocol))
                 .set("client_protocol", bench::counters_json(r.client_protocol)));
         if (budget >= 0 && r.steady_allocs_per_dgram > budget) over_budget = true;
     }

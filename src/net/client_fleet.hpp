@@ -111,7 +111,8 @@ public:
     ClientFleet(FleetConfig cfg, Options options, Clock& clock, std::vector<Transport*> sockets)
         : cfg_(std::move(cfg)),
           wheel_(std::make_unique<TimerWheel>(clock)),
-          rx_(cfg_.sessions > 0 ? cfg_.recv_batch : 1, cfg_.session.max_datagram) {
+          rx_(cfg_.sessions > 0 ? cfg_.recv_batch : 1, cfg_.session.max_datagram),
+          held_acks_(rx_.capacity()) {
         BACP_ASSERT_MSG(!sockets.empty(), "fleet needs at least one socket");
         BACP_ASSERT_MSG(cfg_.sessions > 0, "fleet needs at least one session");
         sockets_.reserve(sockets.size());
@@ -132,6 +133,7 @@ public:
             members_.push_back(std::make_unique<Member>(
                 session_cfg, options, *wheel_, sockets_[i % sockets_.size()]->staging));
             members_.back()->sender.record_ack_latency_into(ack_latency_);
+            members_.back()->sender.hold_acks_in(held_acks_);
         }
     }
 
@@ -139,8 +141,10 @@ public:
     ClientFleet& operator=(const ClientFleet&) = delete;
 
     /// One event-loop iteration: fire due timers (retransmits stage onto
-    /// the socket batches), drain every socket -- demuxing each ack to
-    /// its session, one step per ack -- admit sessions into freed slots
+    /// the socket batches), drain every socket -- demuxing each frame to
+    /// its session, one step per frame, and releasing the block acks a
+    /// duplex fleet's DATA left held at the end of each arena -- admit
+    /// sessions into freed slots
     /// (one step for all of them), and flush each socket's staged frames
     /// as one batch.  Returns units of work.
     std::size_t poll() {
@@ -149,6 +153,7 @@ public:
             for (;;) {
                 const std::size_t n = sock->transport->recv_batch(rx_);
                 for (std::size_t i = 0; i < n; ++i) demux(rx_[i]);
+                release_held_acks(*wheel_, held_acks_);
                 work += n;
                 if (n < rx_.capacity()) break;
             }
@@ -286,6 +291,7 @@ private:
     FleetConfig cfg_;
     std::unique_ptr<TimerWheel> wheel_;  // shared by every session
     RecvBatch rx_;                       // shared receive arena
+    runtime::AckBatch held_acks_;        // members acking at the arena's end
     std::vector<std::unique_ptr<Socket>> sockets_;
     Histogram ack_latency_;  // fed by every member: declared first, outlives them
     std::vector<std::unique_ptr<Member>> members_;

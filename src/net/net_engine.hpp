@@ -302,6 +302,16 @@ private:
     std::unique_ptr<RecvBatch> rx_batch_;    // lazy: see rx_batch()
 };
 
+/// The end of one receive arena in a loop that demuxes a shared socket
+/// to many sessions (Server shards, ClientFleet): every ack the arena's
+/// DATA left held goes out, as one step, ahead of the loop's flush.
+/// NetPort::poll serves one endpoint and keeps per-datagram acks.
+inline void release_held_acks(TimerWheel& wheel, runtime::AckBatch& held) {
+    if (held.empty()) return;
+    [[maybe_unused]] const auto step = wheel.step();
+    held.release();
+}
+
 /// One duplex endpoint: the environment for a DuplexDriver, over a
 /// *port* that supplies time, timers and frame egress.  Everything that
 /// does not depend on the port lives here exactly once: frame dispatch,
@@ -469,6 +479,11 @@ public:
     /// both halves share it ('S' / 'R' endpoint chars keep the streams
     /// separable).
     void set_decision_log(runtime::DecisionLog* log) { duplex_.set_decision_log(log); }
+
+    /// Joins the receiving half to a multiplexing loop's end-of-arena
+    /// ack list (runtime::AckBatch; the loop calls release_held_acks).
+    /// \p batch must outlive the endpoint.
+    void hold_acks_in(runtime::AckBatch& batch) { duplex_.rx_driver().hold_acks_in(batch); }
 
     void set_payload_source(PayloadSource source) { payload_source_ = std::move(source); }
     void set_deliver_sink(DeliverSink sink) { deliver_sink_ = std::move(sink); }

@@ -261,7 +261,7 @@ public:
         shard_cap_ = shard_session_cap();
         shards_.reserve(shard_transports.size());
         for (AddressedTransport* transport : shard_transports) {
-            auto shard = std::make_unique<Shard>();
+            auto shard = std::make_unique<Shard>(cfg_.recv_batch);
             shard->transport = transport;
             shard->wheel = std::make_unique<TimerWheel>(clock);
             shard->rx.reshape(cfg_.recv_batch, cfg_.session.max_datagram);
@@ -286,9 +286,10 @@ public:
 
     /// One event-loop iteration of shard \p idx: fire its wheel, drain
     /// its socket (demuxing each datagram to its session, one step per
-    /// datagram), flush the tick's egress as one addressed batch, and
-    /// periodically sweep for idle sessions.  Each shard must be polled by one thread only;
-    /// distinct shards may be polled concurrently.
+    /// datagram, then one step that sends each session's held block ack
+    /// per arena), flush the tick's egress as one addressed batch, and
+    /// periodically sweep for idle sessions.  Each shard must be polled
+    /// by one thread only; distinct shards may be polled concurrently.
     std::size_t poll_shard(std::size_t idx) {
         Shard& s = *shards_[idx];
         const std::size_t fired = s.wheel->fire_due();
@@ -305,6 +306,7 @@ public:
         for (;;) {
             const std::size_t n = s.transport->recv_batch(s.rx);
             for (std::size_t i = 0; i < n; ++i) demux(s, s.rx.peer(i), s.rx[i]);
+            release_held_acks(*s.wheel, s.held_acks);
             work += n;
             if (n < s.rx.capacity()) break;
         }
@@ -478,9 +480,12 @@ private:
     };
 
     struct Shard {
+        explicit Shard(std::size_t recv_batch) : held_acks(recv_batch) {}
+
         AddressedTransport* transport = nullptr;
         std::unique_ptr<TimerWheel> wheel;
         RecvBatch rx{1};
+        runtime::AckBatch held_acks;  // sessions acking at the arena's end
         AddressedSendBatch tx;
         /// Flat open-addressing table over a contiguous Session slab:
         /// demux is one probe run with no node chase, erase is
@@ -607,6 +612,7 @@ private:
         }
         session.endpoint =
             std::make_unique<NetEndpoint<Core>>(cfg, options_, *s.wheel, *sink);
+        session.endpoint->hold_acks_in(s.held_acks);
         // A duplex session (count > 0) starts originating immediately:
         // the first frame from the peer both opened the session and
         // proved the reverse path.

@@ -174,6 +174,55 @@ struct DecisionLog {
     }
 };
 
+/// The sessions of one receive arena whose action 5 waits for the
+/// arena's end.  A loop that demuxes one socket to many sessions
+/// (net::Server shards, net::ClientFleet) hands a whole arena of
+/// datagrams to its sessions before one flush puts their replies on the
+/// wire.  A driver attached to the loop's batch (hold_acks_in) holds the
+/// ack its policy would fire at once and registers here, once; release()
+/// then fires each held block.  k DATA of one session in one arena leave
+/// as one block ack instead of k, in the same flush -- the paper leaves
+/// the firing moment of action 5 free, and the wire time does not move.
+/// Capacity is fixed: one datagram registers at most one session, and
+/// the loop releases after every arena, so the arena's datagram count
+/// bounds the list.  A driver destroyed while registered (an evicted or
+/// reset session) removes itself, and its held block is lost.
+class AckBatch {
+public:
+    explicit AckBatch(std::size_t capacity) { held_.reserve(capacity); }
+
+    AckBatch(const AckBatch&) = delete;
+    AckBatch& operator=(const AckBatch&) = delete;
+
+    /// Fires every held ack, in the order the sessions registered.
+    void release() {
+        for (const Holder& h : held_) h.release(h.driver);
+        held_.clear();
+    }
+
+    bool empty() const { return held_.empty(); }
+
+private:
+    template <EndpointCore, typename>
+    friend class EndpointDriver;
+
+    struct Holder {
+        void* driver;
+        void (*release)(void*);
+    };
+
+    void hold(Holder h) {
+        BACP_ASSERT_MSG(held_.size() < held_.capacity(), "more held acks than arena datagrams");
+        held_.push_back(h);
+    }
+
+    void forget(const void* driver) {
+        std::erase_if(held_, [driver](const Holder& h) { return h.driver == driver; });
+    }
+
+    std::vector<Holder> held_;
+};
+
 /// What an Environment must supply.  Checked where the adapter type is
 /// complete (the driver's constructor), not at class scope, because
 /// adapters embed the driver and hand themselves in while still
@@ -253,6 +302,7 @@ public:
         // members cancel themselves); reclaim them so no closure on the
         // service can fire into a dead driver.
         pm_timers_.for_each([this](TimerId id) { env_.timer_service().cancel(id); });
+        if (batch_held_) ack_batch_->forget(this);
     }
 
     /// Opens the faucet: stamps the start time, releases the workload
@@ -372,10 +422,18 @@ public:
             log(Decision::Nak, 'R', out.nak->seq, out.nak->seq);
             env_.send_nak(*out.nak);
         }
-        // Action 5 scheduling per the ack policy.
+        // Action 5 scheduling per the ack policy.  A batched receive
+        // loop takes the immediate flush at the end of its arena.
         const Seq pending = core_.ack_pending();
         if (pending >= cfg_.ack_policy.threshold) {
-            flush_ack();
+            if (ack_batch_ == nullptr) {
+                flush_ack();
+            } else if (!batch_held_) {
+                batch_held_ = true;
+                ack_batch_->hold({this, [](void* self) {
+                                      static_cast<EndpointDriver*>(self)->end_batch();
+                                  }});
+            }
         } else if (pending > 0 && !ack_flush_timer_.armed()) {
             ack_flush_timer_.restart(cfg_.ack_policy.flush_delay);
         }
@@ -526,6 +584,11 @@ public:
 
     /// Attach (or detach, with nullptr) a decision recorder.
     void set_decision_log(DecisionLog* log) { log_ = log; }
+
+    /// Holds every immediate action 5 until \p batch is released (see
+    /// AckBatch).  \p batch must outlive the driver; call before the
+    /// first DATA arrives.
+    void hold_acks_in(AckBatch& batch) { ack_batch_ = &batch; }
 
 private:
     TxView txview() const { return txlog_.view(env_.now(), data_lifetime_); }
@@ -782,6 +845,14 @@ private:
         if (delivered_ == cfg_.count) metrics_.end_time = env_.now();
     }
 
+    /// End of the receive arena (AckBatch::release): fires the block held
+    /// since this arena's first DATA reached the policy threshold --
+    /// unless reverse DATA took it meanwhile (take_held_ack).
+    void end_batch() {
+        batch_held_ = false;
+        flush_ack();
+    }
+
     void flush_ack() {
         ack_flush_timer_.cancel();
         const std::optional<proto::Ack> ack = take_held_ack();
@@ -806,6 +877,8 @@ private:
     SimTime timeout_ = 0;
     SimTime data_lifetime_ = 0;  // cached cfg_.data_link.max_lifetime()
     bool gate_waiters_ = false;  // a per-message fire was gate-blocked
+    bool batch_held_ = false;    // registered in ack_batch_ until its release
+    AckBatch* ack_batch_ = nullptr;  // see hold_acks_in
     Seq sent_new_ = 0;      // new messages handed to the wire (== true ns)
     Seq ack_cursor_ = 0;    // messages retired by acks; floor of the per-seq rings
     Seq delivered_ = 0;     // in-order deliveries at the receiver (== true vr)

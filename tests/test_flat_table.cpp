@@ -6,12 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "alloc_counting.hpp"
 #include "common/flat_table.hpp"
 #include "common/rng.hpp"
 
@@ -163,10 +162,6 @@ TEST(FlatTable, SlotViewSamplesLiveEntries) {
     EXPECT_EQ(live, 16u);
 }
 
-// Allocation counting hook shared with the benches' approach: global
-// new/delete tallies, enabled around the steady-state window.
-std::uint64_t g_allocs = 0;
-bool g_count = false;
 volatile void* g_sink = nullptr;
 
 TEST(FlatTable, ZeroSteadyStateAllocationsAfterReserve) {
@@ -177,9 +172,8 @@ TEST(FlatTable, ZeroSteadyStateAllocationsAfterReserve) {
     for (std::uint64_t k = 0; k < 1024; ++k) t.erase(k);
 
     Rng rng(0xF1A7'0004);
-    g_allocs = 0;
-    g_count = true;
     std::uint64_t population = 0;
+    const test::Counting counting;
     for (int i = 0; i < 50000; ++i) {
         const std::uint64_t key = rng.uniform(1024);
         if (rng.uniform(2) == 0) {
@@ -189,23 +183,9 @@ TEST(FlatTable, ZeroSteadyStateAllocationsAfterReserve) {
         }
         g_sink = t.find(key);
     }
-    g_count = false;
     EXPECT_EQ(t.size(), population);
-    EXPECT_EQ(g_allocs, 0u) << "flat table touched the heap in steady state";
+    EXPECT_EQ(counting.allocs(), 0u) << "flat table touched the heap in steady state";
 }
 
 }  // namespace
 }  // namespace bacp
-
-// Out-of-line so the hook covers only this binary's intentional window
-// (same replacement shape as the bench gates' counting allocator).
-void* operator new(std::size_t n) {
-    if (bacp::g_count) ++bacp::g_allocs;
-    if (void* p = std::malloc(n ? n : 1)) return p;
-    throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }

@@ -5,7 +5,7 @@
 // non-resident until datagrams land in them, and the UDP send scratch
 // that no burst size makes grow.
 //
-// A byte-counting operator new (the test_flat_table shape, plus sizes)
+// A byte-counting operator new (tests/alloc_counting.cpp)
 // attributes live heap growth to the server or the fleet call that caused
 // it.  The bounds are per session at the `fleet` benchmark shape (w=2,
 // 32 B payloads, 160 B frames), so a buffer that quietly grows with
@@ -13,19 +13,17 @@
 // memory.
 
 #include <gtest/gtest.h>
-#include <malloc.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <optional>
 #include <span>
 #include <unistd.h>
 #include <vector>
 
+#include "alloc_counting.hpp"
 #include "ba/engine_core.hpp"
 #include "common/histogram.hpp"
 #include "net/client_fleet.hpp"
@@ -37,27 +35,9 @@
 
 namespace bacp {
 
-bool g_count = false;
-std::uint64_t g_allocs = 0;
-std::int64_t g_live = 0;  // usable bytes allocated minus freed while counting
-
 namespace {
 
-/// Counts allocations and net live bytes for the scope's lifetime.
-class Counting {
-public:
-    Counting() : allocs0_(g_allocs), live0_(g_live) { g_count = true; }
-    ~Counting() { g_count = false; }
-    Counting(const Counting&) = delete;
-    Counting& operator=(const Counting&) = delete;
-
-    std::uint64_t allocs() const { return g_allocs - allocs0_; }
-    std::int64_t live_bytes() const { return g_live - live0_; }
-
-private:
-    std::uint64_t allocs0_;
-    std::int64_t live0_;
-};
+using test::Counting;
 
 // ---- Histogram: lazy buckets, unchanged answers -------------------------
 
@@ -329,15 +309,18 @@ TEST(SessionFootprint, ArenaBudgetEstimateTracksCountedBytes) {
     EXPECT_LE(estimate, 2.0 * f.server_per_session) << "estimate " << estimate;
 }
 
-/// Ack-latency answers of the run below, recorded on the parent commit
-/// by merging every member's own tx_metrics().ack_latency (when each
-/// member still fed its own histogram).  The clock advances with each
-/// poll's work and small rings drop first windows, so the samples span
-/// queueing delays and one-second retransmit timeouts.
-constexpr std::int64_t kFleetAckMin = 38'000;
-constexpr std::int64_t kFleetAckMax = 1'000'126'000;
-constexpr std::int64_t kFleetAckP50 = 50'175;
-constexpr std::int64_t kFleetAckP99 = 1'000'126'000;
+/// Ack-latency answers of the run below, recorded by merging every
+/// member's own tx_metrics().ack_latency (with the fleet's redirect
+/// removed, so each member fed its own histogram).  The clock advances
+/// with each poll's work and small rings drop first windows, so the
+/// samples span queueing delays and one-second retransmit timeouts.
+/// Since the server acks once per session per arena, fewer acks crowd
+/// the 8-slot client rings and the 99th percentile no longer waits out
+/// a timeout (it was 1'000'126'000 at one ack per DATA).
+constexpr std::int64_t kFleetAckMin = 20'000;
+constexpr std::int64_t kFleetAckMax = 1'000'052'000;
+constexpr std::int64_t kFleetAckP50 = 69'631;
+constexpr std::int64_t kFleetAckP99 = 129'023;
 
 TEST(FleetAckLatency, OneHistogramRecordsEveryMembersAcks) {
     ManualClock clock;
@@ -475,25 +458,3 @@ TEST(UdpSendFootprint, BurstFourTimesTheWarmUpAllocatesNothing) {
 
 }  // namespace
 }  // namespace bacp
-
-// Out-of-line so the hook covers only this binary's counted windows.
-// Usable sizes on both sides keep the live-byte balance exact.
-void* operator new(std::size_t n) {
-    void* p = std::malloc(n ? n : 1);
-    if (p == nullptr) throw std::bad_alloc();
-    if (bacp::g_count) {
-        ++bacp::g_allocs;
-        bacp::g_live += static_cast<std::int64_t>(malloc_usable_size(p));
-    }
-    return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept {
-    if (p != nullptr && bacp::g_count) {
-        bacp::g_live -= static_cast<std::int64_t>(malloc_usable_size(p));
-    }
-    std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
