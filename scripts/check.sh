@@ -67,6 +67,23 @@ sleep 0.3
     --mb 0.25 --deadline-ms 20000
 wait "$DUPLEX_PEER"
 
+# Impaired multi-session server smoke: a --serve process whose sessions
+# impair their ack direction (loss, duplication, reorder, delay), fed by
+# two --send clients over real sockets.  The clients exit nonzero on an
+# incomplete transfer, the server on any payload mismatch; any nonzero
+# exit fails the script.
+echo "== example smoke: udp_transfer --serve (impaired Server, two clients) =="
+"$BUILD_DIR"/examples/udp_transfer --serve --port 19410 --loss 0.05 --deadline-ms 4000 &
+SERVE=$!
+sleep 0.3
+"$BUILD_DIR"/examples/udp_transfer --send --port 19411 --peer 19410 \
+    --mb 0.25 --loss 0.05 --deadline-ms 4000 &
+SEND_A=$!
+"$BUILD_DIR"/examples/udp_transfer --send --port 19412 --peer 19410 \
+    --mb 0.25 --loss 0.05 --deadline-ms 4000
+wait "$SEND_A"
+wait "$SERVE"
+
 # Bench smoke: the E20 steady-state allocation gate.  The budget is an
 # allocation count, not a wall-clock number, so it holds on shared and
 # sanitized runners alike: after warm-up the slab event queue + pooled

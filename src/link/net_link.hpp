@@ -161,12 +161,14 @@ public:
         links_[stream]->send(std::move(payload));
     }
 
-    /// One event-loop iteration for the whole mux: the port fires the
-    /// shared wheel (all streams' timers), then drains the shared socket
-    /// and each frame is routed to its stream's endpoint.  Member links
-    /// flush their own egress at stage time (batch=1).
+    /// One event-loop iteration for the whole mux: NetPort::poll fires
+    /// the shared wheel (all streams' timers) and drains the shared socket
+    /// through net::drain_ingress, routing each frame to its stream (a
+    /// corrupt one is dropped: loss).  Member links flush their own egress
+    /// at stage time (batch=1).
     std::size_t poll() {
-        return port_.poll([this](std::span<const std::uint8_t> bytes) { route(bytes); });
+        return port_.poll({&dropped_},
+                          [this](net::PeerAddr, const wire::FrameView& frame) { route(frame); });
     }
 
     bool done() const {
@@ -191,13 +193,7 @@ private:
         return cfg;
     }
 
-    void route(std::span<const std::uint8_t> bytes) {
-        const wire::ViewResult result = wire::decode_view(bytes);
-        if (!result.ok()) {
-            ++dropped_;  // corruption = loss, as everywhere in the stack
-            return;
-        }
-        const wire::FrameView& frame = result.frame();
+    void route(const wire::FrameView& frame) {
         if ((frame.flags & wire::kFlagStream) == 0 || frame.stream >= streams()) {
             ++dropped_;  // untagged or unknown stream: nowhere to route
             return;

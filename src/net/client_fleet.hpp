@@ -111,7 +111,7 @@ public:
     ClientFleet(FleetConfig cfg, Options options, Clock& clock, std::vector<Transport*> sockets)
         : cfg_(std::move(cfg)),
           wheel_(std::make_unique<TimerWheel>(clock)),
-          rx_(cfg_.sessions > 0 ? cfg_.recv_batch : 1, cfg_.session.max_datagram),
+          rx_(cfg_.recv_batch, cfg_.session.max_datagram),
           held_acks_(rx_.capacity()) {
         BACP_ASSERT_MSG(!sockets.empty(), "fleet needs at least one socket");
         BACP_ASSERT_MSG(cfg_.sessions > 0, "fleet needs at least one session");
@@ -141,22 +141,18 @@ public:
     ClientFleet& operator=(const ClientFleet&) = delete;
 
     /// One event-loop iteration: fire due timers (retransmits stage onto
-    /// the socket batches), drain every socket -- demuxing each frame to
-    /// its session, one step per frame, and releasing the block acks a
-    /// duplex fleet's DATA left held at the end of each arena -- admit
-    /// sessions into freed slots
-    /// (one step for all of them), and flush each socket's staged frames
-    /// as one batch.  Returns units of work.
+    /// the socket batches), drain every socket through drain_ingress()
+    /// (each frame demuxed to its session in a step of its own, the block
+    /// acks a duplex fleet's DATA left held released once per arena),
+    /// admit sessions into freed slots (one step for all of them), and
+    /// flush each socket's staged frames as one batch.  Returns units of
+    /// work.
     std::size_t poll() {
         std::size_t work = wheel_->fire_due();
         for (const auto& sock : sockets_) {
-            for (;;) {
-                const std::size_t n = sock->transport->recv_batch(rx_);
-                for (std::size_t i = 0; i < n; ++i) demux(rx_[i]);
-                release_held_acks(*wheel_, held_acks_);
-                work += n;
-                if (n < rx_.capacity()) break;
-            }
+            work += drain_ingress(*sock->transport, rx_, *wheel_, &held_acks_,
+                                  {&stats_.decode_errors, &stats_.crc_errors},
+                                  [this](PeerAddr, const wire::FrameView& frame) { demux(frame); });
         }
         work += admit();
         for (const auto& sock : sockets_) sock->staging.flush(*sock->transport);
@@ -241,14 +237,8 @@ private:
         bool finished = false;
     };
 
-    void demux(std::span<const std::uint8_t> bytes) {
-        const wire::ViewResult result = wire::decode_view(bytes);
-        if (!result.ok()) {
-            ++stats_.decode_errors;
-            if (result.error() == wire::DecodeError::BadCrc) ++stats_.crc_errors;
-            return;  // treated as loss
-        }
-        const wire::FrameView& frame = result.frame();
+    /// Runs inside the frame's step (drain_ingress): one clock reading per ack.
+    void demux(const wire::FrameView& frame) {
         // Untagged replies belong to the single legacy session.
         const Seq conn = frame.conn.tagged() ? frame.conn.id : cfg_.first_conn;
         if (conn < cfg_.first_conn ||
@@ -256,7 +246,6 @@ private:
             ++stats_.unknown_conn_drops;
             return;
         }
-        const auto step = wheel_->step();  // one clock reading per ack
         Member& m = *members_[static_cast<std::size_t>(conn - cfg_.first_conn)];
         if (!m.touched) {
             m.touched = true;

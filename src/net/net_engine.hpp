@@ -197,6 +197,50 @@ inline std::vector<std::uint8_t> pattern_payload(Seq seq, std::size_t size) {
     return payload;
 }
 
+/// An owner's counters for datagrams wire::decode_view rejects: every
+/// reject bumps *decode_errors, a CRC mismatch *crc_errors too (null
+/// when the owner keeps no separate count).
+struct RejectCounters {
+    std::uint64_t* decode_errors;
+    std::uint64_t* crc_errors = nullptr;
+
+    void count(wire::DecodeError error) const {
+        ++*decode_errors;
+        if (crc_errors != nullptr && error == wire::DecodeError::BadCrc) ++*crc_errors;
+    }
+};
+
+/// The receive loop of every real-time receiver (NetPort, Server shards,
+/// ClientFleet): drains \p transport into the arena \p rx until a short
+/// batch comes back and hands each datagram that decodes to \p demux as
+/// (source address, FrameView) inside one step of \p wheel.  A reject is
+/// counted in \p rejects and dropped as loss, without a step.  After
+/// each arena the acks \p held (null: none) go out in one more step.
+/// Returns the datagrams received.
+template <typename Demux>
+std::size_t drain_ingress(Transport& transport, RecvBatch& rx, TimerWheel& wheel,
+                          runtime::AckBatch* held, RejectCounters rejects, Demux&& demux) {
+    std::size_t received = 0;
+    for (;;) {
+        const std::size_t n = transport.recv_batch(rx);
+        for (std::size_t i = 0; i < n; ++i) {
+            const wire::ViewResult result = wire::decode_view(rx[i]);
+            if (!result.ok()) {
+                rejects.count(result.error());
+                continue;
+            }
+            [[maybe_unused]] const auto step = wheel.step();
+            demux(rx.peer(i), result.frame());
+        }
+        if (held != nullptr && !held->empty()) {
+            [[maybe_unused]] const auto step = wheel.step();
+            held->release();
+        }
+        received += n;
+        if (n < rx.capacity()) return received;
+    }
+}
+
 /// The real-network port of a NetEndpoint: a TimerWheel for the drivers'
 /// timers, a Transport below, and the tick's SendBatch.  Egress is staged
 /// onto the batch and flushed once per poll() (or per frame, when the
@@ -262,25 +306,16 @@ public:
     void flush() { tx_batch_.flush(*transport_); }
 
     /// One event-loop iteration: fires due timers, pushes out matured
-    /// delayed copies, then hands every datagram currently readable --
-    /// drained a whole arena at a time -- to \p on_datagram, one step
-    /// per datagram, and finally flushes everything the tick staged (new
-    /// sends, retransmits, acks) as one batch.  Returns how many units
-    /// of work (timers + datagrams) were processed.
-    template <typename OnDatagram>
-    std::size_t poll(OnDatagram&& on_datagram) {
+    /// delayed copies, drains the socket through drain_ingress() (one
+    /// step per decoded datagram handed to \p demux; acks stay one per
+    /// DATA, so no AckBatch), and finally flushes everything the tick
+    /// staged (new sends, retransmits, acks) as one batch.  Returns how
+    /// many units of work (timers + datagrams) were processed.
+    template <typename Demux>
+    std::size_t poll(RejectCounters rejects, Demux&& demux) {
         std::size_t work = wheel_.fire_due();
         transport_->flush();  // delayed impairer copies matured above
-        RecvBatch& rx = rx_batch();
-        for (;;) {
-            const std::size_t n = transport_->recv_batch(rx);
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto step = wheel_.step();
-                on_datagram(rx[i]);
-            }
-            work += n;
-            if (n < rx.capacity()) break;
-        }
+        work += drain_ingress(*transport_, rx_batch(), wheel_, nullptr, rejects, demux);
         flush();
         return work;
     }
@@ -301,16 +336,6 @@ private:
     SendBatch tx_batch_;                     // the tick's staged frames
     std::unique_ptr<RecvBatch> rx_batch_;    // lazy: see rx_batch()
 };
-
-/// The end of one receive arena in a loop that demuxes a shared socket
-/// to many sessions (Server shards, ClientFleet): every ack the arena's
-/// DATA left held goes out, as one step, ahead of the loop's flush.
-/// NetPort::poll serves one endpoint and keeps per-datagram acks.
-inline void release_held_acks(TimerWheel& wheel, runtime::AckBatch& held) {
-    if (held.empty()) return;
-    [[maybe_unused]] const auto step = wheel.step();
-    held.release();
-}
 
 /// One duplex endpoint: the environment for a DuplexDriver, over a
 /// *port* that supplies time, timers and frame egress.  Everything that
@@ -380,33 +405,26 @@ public:
         port_.flush();
     }
 
-    /// One event-loop iteration of the port (NetPort: fire due timers,
-    /// drain the socket, flush the tick's batch).  Returns how many
-    /// units of work (timers + datagrams) were processed.
+    /// One event-loop iteration of the port (NetPort::poll).  Returns how
+    /// many units of work (timers + datagrams) were processed.
     std::size_t poll() {
-        return port_.poll([this](std::span<const std::uint8_t> bytes) { handle_datagram(bytes); });
+        return port_.poll(rejects(),
+                          [this](PeerAddr, const wire::FrameView& frame) { handle_frame(frame); });
     }
 
-    /// Decodes one datagram and feeds it to handle_frame(); a frame that
-    /// fails decode is counted and dropped (treated as loss).
+    /// Decodes one datagram and feeds it to handle_frame() -- the DES
+    /// port's entry (link::SimPort); NetPort decodes in drain_ingress().
     void handle_datagram(std::span<const std::uint8_t> bytes) {
         const wire::ViewResult result = wire::decode_view(bytes);
-        if (!result.ok()) {
-            ++duplex_.tx_metrics_mut().decode_errors;
-            if (result.error() == wire::DecodeError::BadCrc) {
-                ++duplex_.tx_metrics_mut().crc_errors;
-            }
-            return;  // treated as loss
-        }
+        if (!result.ok()) return rejects().count(result.error());  // treated as loss
         handle_frame(result.frame());
     }
 
     /// Feeds one already-decoded frame to the drivers -- the entry point
-    /// a server uses after demuxing a shared socket's arena (each
-    /// datagram is decoded exactly once, by the demux).  poll() routes
-    /// its own datagrams through here too.  Frames for a direction this
-    /// endpoint does not run (DATA at a pure sender, ACK at a pure
-    /// receiver) are counted as anomalies and dropped.
+    /// every drain_ingress() demux uses (each datagram is decoded exactly
+    /// once, by the drain).  Frames for a direction this endpoint does
+    /// not run (DATA at a pure sender, ACK at a pure receiver) are
+    /// counted as anomalies and dropped.
     void handle_frame(const wire::FrameView& frame) {
         switch (frame.type) {
             case wire::FrameType::Ack:
@@ -481,7 +499,7 @@ public:
     void set_decision_log(runtime::DecisionLog* log) { duplex_.set_decision_log(log); }
 
     /// Joins the receiving half to a multiplexing loop's end-of-arena
-    /// ack list (runtime::AckBatch; the loop calls release_held_acks).
+    /// ack list (runtime::AckBatch; drain_ingress releases it).
     /// \p batch must outlive the endpoint.
     void hold_acks_in(runtime::AckBatch& batch) { duplex_.rx_driver().hold_acks_in(batch); }
 
@@ -590,10 +608,14 @@ public:
     void after_step() {}
 
 private:
-    /// A frame for a direction this endpoint does not run.  Counted on
-    /// the sending half's metrics; the per-endpoint merge makes the
-    /// choice of half invisible.
+    /// A frame for a direction this endpoint does not run, and a datagram
+    /// that fails decode (rejects()).  Counted on the sending half's
+    /// metrics; the per-endpoint merge makes the choice of half invisible.
     void count_anomaly() { ++duplex_.tx_metrics_mut().decode_errors; }
+    RejectCounters rejects() {
+        sim::Metrics& m = duplex_.tx_metrics_mut();
+        return {&m.decode_errors, &m.crc_errors};
+    }
 
     /// DATA (optionally carrying a piggybacked ack) into the receiving
     /// half.  The payload is stashed before the driver steps so a

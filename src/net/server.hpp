@@ -285,11 +285,11 @@ public:
     std::size_t session_cap() const { return shard_cap_; }
 
     /// One event-loop iteration of shard \p idx: fire its wheel, drain
-    /// its socket (demuxing each datagram to its session, one step per
-    /// datagram, then one step that sends each session's held block ack
-    /// per arena), flush the tick's egress as one addressed batch, and
-    /// periodically sweep for idle sessions.  Each shard must be polled
-    /// by one thread only; distinct shards may be polled concurrently.
+    /// its socket through drain_ingress() (one step per datagram, held
+    /// block acks sent once per arena), flush the tick's egress as one
+    /// addressed batch, and periodically sweep for idle sessions.  Each
+    /// shard must be polled by one thread only; distinct shards may be
+    /// polled concurrently.
     std::size_t poll_shard(std::size_t idx) {
         Shard& s = *shards_[idx];
         const std::size_t fired = s.wheel->fire_due();
@@ -303,13 +303,11 @@ public:
                 }
             });
         }
-        for (;;) {
-            const std::size_t n = s.transport->recv_batch(s.rx);
-            for (std::size_t i = 0; i < n; ++i) demux(s, s.rx.peer(i), s.rx[i]);
-            release_held_acks(*s.wheel, s.held_acks);
-            work += n;
-            if (n < s.rx.capacity()) break;
-        }
+        work += drain_ingress(*s.transport, s.rx, *s.wheel, &s.held_acks,
+                              {&s.stats.decode_errors, &s.stats.crc_errors},
+                              [this, &s](PeerAddr peer, const wire::FrameView& frame) {
+                                  demux(s, peer, frame);
+                              });
         s.tx.flush(*s.transport);
         const SimTime now = s.wheel->now();
         if (now >= s.next_sweep) {
@@ -505,17 +503,9 @@ private:
         return session.impairer ? session.impairer->stats() : session.egress->stats();
     }
 
-    void demux(Shard& s, PeerAddr peer, std::span<const std::uint8_t> bytes) {
-        const wire::ViewResult result = wire::decode_view(bytes);
-        if (!result.ok()) {
-            ++s.stats.decode_errors;
-            if (result.error() == wire::DecodeError::BadCrc) ++s.stats.crc_errors;
-            return;  // treated as loss
-        }
-        const wire::FrameView& frame = result.frame();
-        // One step: opening, resetting and driving the session share
-        // one clock reading.
-        const auto step = s.wheel->step();
+    /// Runs inside the datagram's step (drain_ingress), so opening,
+    /// resetting and driving the session share one clock reading.
+    void demux(Shard& s, PeerAddr peer, const wire::FrameView& frame) {
         // v1 peers carry no tag: they are the single legacy session at
         // their address, conn id 0, epoch 0.
         const bool tagged = frame.conn.tagged();

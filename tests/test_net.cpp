@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "counting_clock.hpp"
 #include "net/net_session.hpp"
 #include "wire/crc32.hpp"
 
@@ -393,6 +394,141 @@ TEST(OneShotTimerOnWheel, RestartAndCancel) {
     clock.advance(10);
     wheel.fire_due();
     EXPECT_EQ(fired, 1);
+}
+
+// ------------------------------------------------------ drain_ingress --
+//
+// The one receive loop of NetPort, Server shards and ClientFleet, held to
+// its contract on InprocTransport + ManualClock.  Every step opening
+// reads the clock once, so a counting clock shows how many steps a drain
+// opened.
+
+std::vector<std::uint8_t> data_frame(Seq seq) {
+    std::vector<std::uint8_t> frame;
+    const std::uint8_t payload[] = {1, 2, 3, 4, 5, 6, 7, 8};
+    wire::encode_data_to(frame, seq, payload);
+    return frame;
+}
+
+struct DrainRig {
+    ManualClock manual;
+    CountingClock clock{manual};
+    TimerWheel wheel{clock};
+    std::pair<std::unique_ptr<InprocTransport>, std::unique_ptr<InprocTransport>> pair =
+        InprocTransport::make_pair();
+    InprocTransport& peer = *pair.first;   // sends the backlog
+    InprocTransport& local = *pair.second;  // drained
+    RecvBatch arena{4, 256};
+    std::uint64_t decode_errors = 0;
+    std::uint64_t crc_errors = 0;
+    std::size_t demuxed = 0;
+    std::size_t demuxed_outside_a_step = 0;
+
+    void send_data(Seq from, Seq to) {
+        for (Seq seq = from; seq < to; ++seq) ASSERT_TRUE(send_one(peer, data_frame(seq)));
+    }
+
+    /// One drain into a counting demux; \p on_frame sees each frame.
+    template <typename OnFrame>
+    std::size_t drain(runtime::AckBatch* held, OnFrame&& on_frame) {
+        return drain_ingress(local, arena, wheel, held, {&decode_errors, &crc_errors},
+                             [&](PeerAddr, const wire::FrameView& frame) {
+                                 ++demuxed;
+                                 // Inside a step now() is the step's
+                                 // reading, not a fresh clock read.
+                                 const std::uint64_t before = clock.reads();
+                                 (void)wheel.now();
+                                 if (clock.reads() != before) ++demuxed_outside_a_step;
+                                 on_frame(frame);
+                             });
+    }
+    std::size_t drain() {
+        return drain(nullptr, [](const wire::FrameView&) {});
+    }
+};
+
+TEST(DrainIngress, BacklogDrainsInOneCallAndStopsAfterTheShortArena) {
+    DrainRig rig;
+    rig.send_data(0, 10);  // 2.5 arenas of 4
+    const std::uint64_t reads = rig.clock.reads();
+    EXPECT_EQ(rig.drain(), 10u);
+    EXPECT_EQ(rig.local.stats().syscalls_received, 3u);  // 4 + 4 + the short 2
+    EXPECT_EQ(rig.demuxed, 10u);
+    // Exactly one step -- one clock reading -- per decoded datagram.
+    EXPECT_EQ(rig.clock.reads() - reads, 10u);
+    EXPECT_EQ(rig.demuxed_outside_a_step, 0u);
+
+    // A whole number of arenas ends on an empty (short) batch.
+    rig.send_data(10, 18);
+    EXPECT_EQ(rig.drain(), 8u);
+    EXPECT_EQ(rig.local.stats().syscalls_received, 6u);
+    EXPECT_EQ(rig.drain(), 0u);
+    EXPECT_EQ(rig.local.stats().syscalls_received, 7u);
+}
+
+TEST(DrainIngress, RejectsAreCountedOnceAndNeverReachTheDemux) {
+    DrainRig rig;
+    const std::vector<std::uint8_t> good = data_frame(1);
+    std::vector<std::uint8_t> bad_crc = data_frame(2);
+    bad_crc[bad_crc.size() / 2] ^= 0x40;
+    const std::vector<std::uint8_t> truncated(good.begin(), good.begin() + 3);
+    rig.send_data(0, 1);
+    ASSERT_TRUE(send_one(rig.peer, truncated));
+    ASSERT_TRUE(send_one(rig.peer, bad_crc));
+    rig.send_data(3, 5);
+    const std::uint64_t reads = rig.clock.reads();
+    std::vector<Seq> seen;
+    EXPECT_EQ(rig.drain(nullptr, [&](const wire::FrameView& f) { seen.push_back(f.seq); }), 5u);
+    EXPECT_EQ(seen, (std::vector<Seq>{0, 3, 4}));
+    EXPECT_EQ(rig.decode_errors, 2u);  // both rejects
+    EXPECT_EQ(rig.crc_errors, 1u);     // the CRC mismatch only
+    EXPECT_EQ(rig.clock.reads() - reads, 3u);  // no step for a reject
+
+    // An owner without a CRC counter counts every reject as one decode
+    // error (NetStreamMux's dropped frames).
+    ASSERT_TRUE(send_one(rig.peer, bad_crc));
+    std::uint64_t dropped = 0;
+    EXPECT_EQ(drain_ingress(rig.local, rig.arena, rig.wheel, nullptr, {&dropped},
+                            [&](PeerAddr, const wire::FrameView&) { ADD_FAILURE(); }),
+              1u);
+    EXPECT_EQ(dropped, 1u);
+}
+
+TEST(DrainIngress, HeldAcksReleaseOncePerArena) {
+    DrainRig rig;
+    // A receiving endpoint on the drained socket whose acks wait for the
+    // arena's end; it acks back through the same socket to the peer.
+    NetConfig cfg;
+    cfg.w = 16;
+    cfg.count = 0;
+    cfg.rx_count = 10;
+    cfg.payload_size = 8;
+    cfg.batch = 1;
+    cfg.timeout = kSecond;
+    NetEndpoint<ba::EngineCore<ba::Sender, ba::Receiver>> receiver(cfg, {}, rig.wheel,
+                                                                   rig.local);
+    runtime::AckBatch held(rig.arena.capacity());
+    receiver.hold_acks_in(held);
+
+    rig.send_data(0, 10);  // 2.5 arenas of 4
+    const std::uint64_t reads = rig.clock.reads();
+    EXPECT_EQ(rig.drain(&held, [&](const wire::FrameView& f) { receiver.handle_frame(f); }),
+              10u);
+    EXPECT_TRUE(held.empty());
+    // One step per DATA plus one per arena for its held acks.
+    EXPECT_EQ(rig.clock.reads() - reads, 10u + 3u);
+
+    std::vector<std::pair<Seq, Seq>> acks;
+    RecvBatch at_peer(16, 256);
+    for (std::size_t i = 0, n = rig.peer.recv_batch(at_peer); i < n; ++i) {
+        const wire::ViewResult v = wire::decode_view(at_peer[i]);
+        ASSERT_TRUE(v.ok());
+        ASSERT_EQ(v.frame().type, wire::FrameType::Ack);
+        acks.emplace_back(v.frame().lo, v.frame().hi);
+    }
+    // One block ack per arena, covering that arena's DATA.
+    EXPECT_EQ(acks, (std::vector<std::pair<Seq, Seq>>{{0, 3}, {4, 7}, {8, 9}}));
+    EXPECT_EQ(receiver.delivered(), 10u);
 }
 
 // ----------------------------------------------------------- impairer --

@@ -566,9 +566,10 @@ TEST(Server, ToJsonCarriesServerTransportAndSessionViews) {
 /// session running alone: its impairer draws from mix_seed(base, conn),
 /// not from a shared stream another session's traffic could perturb.
 TEST(Server, ImpairmentSeedEquivalentToSingleSessionRun) {
-    const auto run_session_metrics = [](const std::vector<Seq>& conns, Seq probe) {
+    const auto run_session_metrics = [](const ImpairSpec& impair, const std::vector<Seq>& conns,
+                                        Seq probe) {
         ServerConfig cfg = server_config();
-        cfg.impair.loss = 0.25;  // ack-direction loss forces retransmits
+        cfg.impair = impair;
         ManualClock clock;
         InprocHub hub;
         Server<Core> server(cfg, {}, clock, {&hub.server()});
@@ -579,18 +580,50 @@ TEST(Server, ImpairmentSeedEquivalentToSingleSessionRun) {
         drive(clock, server, raw(clients));
         for (Client& c : clients) EXPECT_TRUE(c.sender->done());
         for (const SessionView& v : server.sessions()) {
+            EXPECT_EQ(v.payload_mismatches, 0u);
+        }
+        for (const SessionView& v : server.sessions()) {
             if (v.conn == probe) return std::make_pair(v.protocol, v.transport);
         }
         ADD_FAILURE() << "probe session missing";
         return std::make_pair(sim::Metrics{}, Metrics{});
     };
 
-    const auto [multi_proto, multi_transport] = run_session_metrics({5, 9, 14}, 9);
-    const auto [solo_proto, solo_transport] = run_session_metrics({9}, 9);
+    // Ack-direction loss forces retransmits; the lossy adversary also
+    // delays, duplicates and reorders, so copies mature on the shard
+    // wheel and leave through poll_shard's impaired-session flush.
+    ImpairSpec loss_only;
+    loss_only.loss = 0.25;
+    for (const ImpairSpec& impair : {loss_only, ImpairSpec::lossy(0.1)}) {
+        const auto [multi_proto, multi_transport] = run_session_metrics(impair, {5, 9, 14}, 9);
+        const auto [solo_proto, solo_transport] = run_session_metrics(impair, {9}, 9);
 
-    EXPECT_EQ(multi_proto.to_json(), solo_proto.to_json());
-    EXPECT_EQ(multi_transport.to_json(), solo_transport.to_json());
-    EXPECT_GT(multi_transport.dropped, 0u);  // the adversary did bite
+        EXPECT_EQ(multi_proto.to_json(), solo_proto.to_json());
+        EXPECT_EQ(multi_transport.to_json(), solo_transport.to_json());
+        EXPECT_GT(multi_transport.dropped, 0u);  // the adversary did bite
+        if (impair.delay_hi > 0) {
+            EXPECT_GT(multi_transport.delayed, 0u);
+        }
+    }
+}
+
+// A delayed copy leaves the shard when it matures (poll_shard flushes
+// the impaired sessions right after fire_due), not when its session next
+// sends: a sink session whose one block ack is delayed must still let
+// its client finish without a retransmission.
+TEST(Server, DelayedAckCopiesLeaveWhenTheyMature) {
+    ServerConfig cfg = server_config();
+    cfg.impair.delay_lo = 5 * kMillisecond;
+    cfg.impair.delay_hi = 5 * kMillisecond;
+    ManualClock clock;
+    InprocHub hub;
+    Server<Core> server(cfg, {}, clock, {&hub.server()});
+    std::vector<Client> clients;
+    clients.push_back(make_client(hub, clock, client_config(4, wire::Conn{1, 1})));
+    drive(clock, server, raw(clients));
+    EXPECT_TRUE(clients[0].sender->done());
+    EXPECT_EQ(clients[0].sender->metrics().data_retx, 0u);
+    EXPECT_GT(server.merged_metrics().delayed, 0u);
 }
 
 // ---- threaded shard loops ----------------------------------------------

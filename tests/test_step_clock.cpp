@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ba/engine_core.hpp"
+#include "counting_clock.hpp"
 #include "net/client_fleet.hpp"
 #include "net/clock.hpp"
 #include "net/inproc_hub.hpp"
@@ -31,23 +32,6 @@ namespace bacp::net {
 namespace {
 
 using Core = ba::EngineCore<ba::Sender, ba::Receiver>;
-
-/// Counts every read of a wrapped clock.
-class CountingClock final : public Clock {
-public:
-    explicit CountingClock(const Clock& inner) : inner_(inner) {}
-
-    SimTime now() const override {
-        ++reads_;
-        return inner_.now();
-    }
-
-    std::uint64_t reads() const { return reads_; }
-
-private:
-    const Clock& inner_;
-    mutable std::uint64_t reads_ = 0;
-};
 
 /// A clock that moves 1 ns on every read: any two separate reads differ.
 class TickingClock final : public Clock {
