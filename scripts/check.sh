@@ -143,6 +143,10 @@ else
     echo "== bench smoke: E24 fleet scale alloc + timer scaling gate =="
     (cd "$BUILD_DIR"/bench && ./bench_e24_fleet_scale --quick --check-budget 0)
 fi
+# The same gate on the GSO/GRO tier, where a receive arena fills through
+# repeated GRO staging (it resolves to mmsg on kernels without it).
+echo "== bench smoke: E24 fleet scale alloc gate, GSO/GRO tier =="
+(cd "$BUILD_DIR"/bench && ./bench_e24_fleet_scale --quick --offload gso --check-budget 0)
 
 # Duplex piggyback gate.  E25 runs bidirectional load through one
 # NetEndpoint per side and requires >= 50% of acks piggybacked on

@@ -16,7 +16,7 @@
 ///
 /// The batching economics that bench_e19/e21 bought survive
 /// multiplexing by construction:
-///   ingress  one recvmmsg fills the shard arena; demux is a hash
+///   ingress  recvmmsg fills the shard arena; demux is a hash
 ///            lookup per datagram, allocation-free.
 ///   egress   each session "flushes" into a SessionEgress that merely
 ///            appends to the *shard's* AddressedSendBatch; the shard

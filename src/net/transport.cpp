@@ -37,7 +37,7 @@ constexpr std::size_t kGsoMaxSegments = 64;
 
 /// Headers one sendmmsg/recvmmsg call takes: the kernel caps the vector
 /// length at UIO_MAXIOV (1024).  The send and receive scratch holds this
-/// many slots, and send paths split larger batches into chunks of it.
+/// many slots, and larger batches and arenas go in chunks of it.
 constexpr std::size_t kBatchSlots = 1024;
 
 /// GRO staging buffers must fit any coalesced payload the kernel can
@@ -430,10 +430,21 @@ std::size_t UdpTransport::drain_sendmmsg(
 std::size_t UdpTransport::recv_batch(RecvBatch& batch) {
     batch.clear();
     if (gro_on_) return recv_gro(batch);
+    // One recvmmsg takes at most kBatchSlots headers, so a larger arena
+    // fills in chunks; only a short chunk means the socket ran dry.
+    while (recv_mmsg_chunk(batch) && batch.size() < batch.capacity()) {
+    }
+    return batch.size();
+}
+
+/// One recvmmsg appending up to kBatchSlots datagrams to \p batch.
+/// Returns whether it filled every header it offered.
+bool UdpTransport::recv_mmsg_chunk(RecvBatch& batch) {
     Scratch& sc = *scratch_;
-    const std::size_t cap = std::min(batch.capacity(), kBatchSlots);
+    const std::size_t base = batch.size();
+    const std::size_t cap = std::min(batch.capacity() - base, kBatchSlots);
     for (std::size_t i = 0; i < cap; ++i) {
-        const std::span<std::uint8_t> slot = batch.slot(i);
+        const std::span<std::uint8_t> slot = batch.slot(base + i);
         sc.wire(i, slot.data(), slot.size());
         // Record each datagram's source so a server can demux by peer;
         // the kernel rewrites msg_namelen per datagram, so reset it
@@ -449,7 +460,7 @@ std::size_t UdpTransport::recv_batch(RecvBatch& batch) {
     if (n < 0) {
         BACP_ASSERT_MSG(errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNREFUSED,
                         "udp recvmmsg failed");
-        return 0;
+        return false;
     }
     for (int i = 0; i < n; ++i) {
         const std::size_t len = sc.hdrs[i].msg_len;
@@ -463,7 +474,7 @@ std::size_t UdpTransport::recv_batch(RecvBatch& batch) {
         stats_.bytes_received += len;
     }
     stats_.datagrams_received += static_cast<std::uint64_t>(n);
-    return static_cast<std::size_t>(n);
+    return static_cast<std::size_t>(n) == cap;
 }
 
 /// The GRO receive path.  With UDP_GRO set, the kernel may coalesce a
@@ -474,7 +485,11 @@ std::size_t UdpTransport::recv_batch(RecvBatch& batch) {
 /// the arena (its byte footprint, capped at kGroMaxSlots buffers), and
 /// segments that overflow the arena carry over: the next call drains
 /// them without a syscall, which is where the datagrams-per-syscall win
-/// on this tier comes from.
+/// on this tier comes from.  Datagrams from different flows do not
+/// coalesce, so staging can hold far fewer of them than the arena: while
+/// a recvmmsg fills every staging buffer and the arena has room, stage
+/// again.  The arena comes back short only after a short recvmmsg, the
+/// promise net::drain_ingress stops on.
 std::size_t UdpTransport::recv_gro(RecvBatch& batch) {
     Scratch& sc = *scratch_;
     if (sc.gro_slots == 0) {
@@ -484,8 +499,18 @@ std::size_t UdpTransport::recv_gro(RecvBatch& batch) {
     }
     // Carried-over segments first; a full arena means no syscall at all.
     drain_gro_staging(batch);
-    if (batch.size() == batch.capacity() || sc.gro_count > 0) return batch.size();
+    bool filled = true;
+    while (filled && batch.size() < batch.capacity() && sc.gro_count == 0) {
+        filled = stage_gro();
+        drain_gro_staging(batch);
+    }
+    return batch.size();
+}
 
+/// One recvmmsg into the (drained) GRO staging buffers.  Returns whether
+/// it filled every one of them.
+bool UdpTransport::stage_gro() {
+    Scratch& sc = *scratch_;
     for (std::size_t i = 0; i < sc.gro_slots; ++i) {
         sc.gro_iovs[i].iov_len = kGroBufferBytes;
         sc.gro_hdrs[i].msg_hdr.msg_namelen = sizeof(sc.gro_addrs[i]);
@@ -501,7 +526,7 @@ std::size_t UdpTransport::recv_gro(RecvBatch& batch) {
     if (n < 0) {
         BACP_ASSERT_MSG(errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNREFUSED,
                         "udp recvmmsg (gro) failed");
-        return batch.size();
+        return false;
     }
     for (int i = 0; i < n; ++i) {
         Scratch::GroBuf& gb = sc.gro_meta[static_cast<std::size_t>(i)];
@@ -529,8 +554,7 @@ std::size_t UdpTransport::recv_gro(RecvBatch& batch) {
     sc.gro_count = static_cast<std::size_t>(n);
     sc.gro_idx = 0;
     sc.gro_off = 0;
-    drain_gro_staging(batch);
-    return batch.size();
+    return sc.gro_count == sc.gro_slots;
 }
 
 /// Moves staged segments into the arena until one side runs out.  A

@@ -21,8 +21,9 @@
 ///
 /// Two implementations:
 ///   UdpTransport     a non-blocking IPv4/UDP socket on loopback;
-///                    send_batch/recv_batch are one sendmmsg(2)/
-///                    recvmmsg(2) each; fd() exposes the descriptor for
+///                    send_batch/recv_batch are sendmmsg(2)/
+///                    recvmmsg(2) in kernel-sized chunks (usually one
+///                    call); fd() exposes the descriptor for
 ///                    poll(2)-based waiting.  enable_offload() climbs
 ///                    the kernel-offload ladder (net/offload.hpp):
 ///                    UDP_SEGMENT send coalescing + UDP_GRO receive
@@ -232,8 +233,12 @@ public:
     virtual std::size_t send_batch(std::span<const std::span<const std::uint8_t>> datagrams) = 0;
 
     /// Non-blocking bulk receive into the caller's arena: drains up to
-    /// batch.capacity() whole datagrams in one boundary crossing (one
-    /// recvmmsg on UDP).  Clears \p batch first; returns batch.size().
+    /// batch.capacity() whole datagrams.  A batch shorter than the arena
+    /// means the source ran dry during the call: on UDP, the last of the
+    /// call's recvmmsgs came back short (a large arena, or GRO staging
+    /// that holds fewer datagrams than the arena, takes several).
+    /// net::drain_ingress stops on that.  Clears \p batch first;
+    /// returns batch.size().
     /// Steady-state allocation-free by contract -- the arena is caller
     /// memory and transports only reuse warmed scratch.
     virtual std::size_t recv_batch(RecvBatch& batch) = 0;
@@ -427,11 +432,17 @@ private:
     std::size_t send_gso(std::span<const std::span<const std::uint8_t>> datagrams,
                          std::span<const PeerAddr> peers);
 
+    /// Plain receive path: one recvmmsg of at most one scratch-sized
+    /// chunk, appended to \p batch; true when every offered slot filled.
+    bool recv_mmsg_chunk(RecvBatch& batch);
+
     /// GRO path: recvmmsg into full-size staging buffers, split each
-    /// coalesced payload back into the caller's fixed-stride arena.
+    /// coalesced payload back into the caller's fixed-stride arena, and
+    /// stage again while every buffer filled and the arena has room.
     /// Staged segments that overflow the arena carry over to the next
     /// call (no syscall needed until the staging is drained).
     std::size_t recv_gro(RecvBatch& batch);
+    bool stage_gro();
     void drain_gro_staging(RecvBatch& batch);
 
     bool gso_active() const { return gso_on_ && !gso_failed_; }

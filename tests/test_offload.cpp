@@ -1,5 +1,6 @@
 // Kernel-offload ladder tests (tier 1): capability probing, the
-// UDP_SEGMENT/UDP_GRO tier, and every fallback seam below it.  Tests that need a kernel feature
+// UDP_SEGMENT/UDP_GRO tier, every fallback seam below it, and receive
+// arenas that take more than one recvmmsg to fill.  Tests that need a kernel feature
 // skip (never fail) when the probe says it is absent, so the suite is
 // green on any kernel; the fallback tests run everywhere by
 // construction.  All traffic is loopback UDP: after a send_batch
@@ -7,19 +8,24 @@
 // queue, so drains need no timing assumptions.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "net/clock.hpp"
 #include "net/impairer.hpp"
+#include "net/net_engine.hpp"
 #include "net/offload.hpp"
 #include "net/server.hpp"
 #include "net/timer_wheel.hpp"
 #include "net/transport.hpp"
+#include "wire/codec.hpp"
 
 namespace bacp::net {
 namespace {
@@ -178,6 +184,64 @@ TEST(OffloadGso, StagingCarriesOverWhenArenaIsSmallerThanBurst) {
     }
 }
 
+/// A DATA frame of exactly \p size bytes (the payload length's varint
+/// is as wide for \p size as for the final payload).
+std::vector<std::uint8_t> sized_data_frame(Seq seq, std::size_t size) {
+    std::vector<std::uint8_t> payload(size, 0x5a);
+    std::vector<std::uint8_t> frame;
+    wire::encode_data_to(frame, seq, payload);
+    payload.resize(2 * size - frame.size());
+    frame.clear();
+    wire::encode_data_to(frame, seq, payload);
+    return frame;
+}
+
+TEST(OffloadGso, ManyFlowBurstFillsTheArenaInOneRecv) {
+    if (resolve_offload(OffloadMode::Gso) != OffloadMode::Gso || !offload_caps().gro) {
+        GTEST_SKIP() << "kernel lacks UDP GRO";
+    }
+    // Datagrams from different sockets never coalesce, so each takes a
+    // whole 64 KiB staging buffer: this 512 x 160 B arena stages two at
+    // a time.  The burst still fills it in one recv_batch -- staging
+    // repeats while every buffer fills -- so net::drain_ingress, which
+    // stops on a short batch, does not leave the burst in the kernel.
+    constexpr std::size_t kSenders = 4;
+    constexpr std::size_t kEach = 25;
+    constexpr std::size_t kSize = 160;
+    UdpTransport rx;
+    rx.enable_offload(OffloadMode::Gso);
+    rx.request_buffer_sizes(std::size_t{1} << 20);
+    std::vector<std::unique_ptr<UdpTransport>> senders;
+    for (std::size_t s = 0; s < kSenders; ++s) {
+        senders.push_back(std::make_unique<UdpTransport>());
+        senders.back()->connect_peer(rx.local_port());
+    }
+    auto send_burst = [&] {
+        for (std::size_t i = 0; i < kEach; ++i) {
+            for (std::size_t s = 0; s < kSenders; ++s) {
+                ASSERT_TRUE(send_one(*senders[s], sized_data_frame(s * kEach + i, kSize)));
+            }
+        }
+    };
+
+    RecvBatch arena(512, kSize);
+    send_burst();
+    EXPECT_EQ(rx.recv_batch(arena), kSenders * kEach);
+    EXPECT_EQ(rx.recv_batch(arena), 0u);
+
+    send_burst();
+    ManualClock clock;
+    TimerWheel wheel(clock);
+    std::uint64_t rejects = 0;
+    std::set<Seq> seqs;
+    EXPECT_EQ(drain_ingress(rx, arena, wheel, nullptr, {&rejects},
+                            [&](PeerAddr, const wire::FrameView& f) { seqs.insert(f.seq); }),
+              kSenders * kEach);
+    EXPECT_EQ(rejects, 0u);
+    EXPECT_EQ(seqs.size(), kSenders * kEach);
+    EXPECT_EQ(rx.recv_batch(arena), 0u);
+}
+
 TEST(OffloadGso, RejectedSendFallsBackToPlainWithoutLosingDatagrams) {
     if (resolve_offload(OffloadMode::Gso) != OffloadMode::Gso || !offload_caps().gso) {
         GTEST_SKIP() << "kernel lacks UDP GSO";
@@ -291,6 +355,36 @@ TEST(OffloadFallback, ImpairerDecidesPerDatagramBeforeCoalescing) {
     EXPECT_GT(dropped_batch, 0u);
     EXPECT_EQ(batch_gso, single_gso);   // same survivors, same order
     EXPECT_EQ(batch_gso, batch_mmsg);   // tier changes nothing above it
+}
+
+// --------------------------------------------------------------- mmsg --
+
+TEST(OffloadMmsg, ArenaLargerThanOneRecvmmsgFillsInOneCall) {
+    // One recvmmsg takes at most 1024 headers (UIO_MAXIOV); a 2048-slot
+    // arena fills in chunks, and only the short last chunk ends the call.
+    constexpr std::size_t kN = 1100;
+    auto [a, b] = UdpTransport::make_pair();
+    a->request_buffer_sizes(std::size_t{4} << 20);
+    b->request_buffer_sizes(std::size_t{4} << 20);
+    int rcvbuf = 0;
+    socklen_t len = sizeof(rcvbuf);
+    ASSERT_EQ(::getsockopt(b->fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, &len), 0);
+    // 2 KiB is a generous bound on a small datagram's queued truesize.
+    if (static_cast<std::size_t>(rcvbuf) < kN * 2048) {
+        GTEST_SKIP() << "SO_RCVBUF " << rcvbuf << " cannot hold the burst";
+    }
+
+    Corpus c;
+    for (std::size_t i = 0; i < kN; ++i) c.add(i, 32);
+    ASSERT_EQ(a->send_batch(c.view()), kN);
+
+    RecvBatch arena(2048, 64);
+    ASSERT_EQ(b->recv_batch(arena), kN);
+    EXPECT_EQ(b->stats().syscalls_received, 2u);  // 1024 + the short 76
+    for (std::size_t i = 0; i < kN; ++i) {
+        EXPECT_TRUE(std::ranges::equal(arena[i], c.datagrams[i])) << "datagram " << i;
+    }
+    EXPECT_EQ(b->recv_batch(arena), 0u);
 }
 
 // ----------------------------------------------------- counters/stats --
