@@ -68,6 +68,7 @@ public:
           w_(cfg.w),
           sender_(cfg.w),
           receiver_(cfg.w),
+          horizon_(cfg.w),
           adaptive_(cfg.adaptive_window),
           nak_enabled_(cfg.enable_nak),
           nak_threshold_(cfg.nak_threshold),
@@ -86,9 +87,9 @@ public:
 
     bool can_send_new() const { return sender_.can_send_new(); }
 
-    SimTime send_blocked_until(SimTime now) {
-        if (options_.unsafe_disable_horizon) return now;
-        return horizon_.blocks(ghost_ns_, now) ? horizon_.until() : now;
+    SimTime send_blocked_until(const runtime::TxView& tx) const {
+        if (options_.unsafe_disable_horizon) return tx.now;
+        return std::max(tx.now, horizon_.blocked_until(ghost_ns_, cap_acked(), tx));
     }
 
     proto::Data send_new(SimTime) {
@@ -122,14 +123,14 @@ public:
                     ghost_na_ + proto::mod_offset(na_before, run.lo, sender_.domain());
                 const Seq hi_true =
                     ghost_na_ + proto::mod_offset(na_before, run.hi, sender_.domain());
-                for (Seq t = lo_true; t <= hi_true; ++t) note_horizon(t, tx);
+                for (Seq t = lo_true; t <= hi_true; ++t) horizon_.note_ack(t, ghost_ns_, tx);
                 sender_.on_ack(run);
                 const Seq advance =
                     proto::mod_offset(na_before, sender_.na_mod(), sender_.domain());
                 ghost_na_ += advance;
                 window_on_ack_progress(advance);
             } else {
-                for (Seq t = run.lo; t <= run.hi; ++t) note_horizon(t, tx);
+                for (Seq t = run.lo; t <= run.hi; ++t) horizon_.note_ack(t, ghost_ns_, tx);
                 const Seq na_before = sender_.na();
                 sender_.on_ack(run);
                 window_on_ack_progress(sender_.na() - na_before);
@@ -408,10 +409,15 @@ private:
         }
     }
 
-    void note_horizon(Seq true_seq, const runtime::TxView& tx) {
-        const auto last = tx.last_tx_time(true_seq);
-        if (!last) return;
-        horizon_.note(true_seq, *last + tx.data_lifetime, tx.now, w_);
+    /// Whether message ns - w, whose cap gates the next send, is acked.
+    /// Implied by the window for every sender but the hole-reusing one.
+    bool cap_acked() const {
+        if constexpr (std::same_as<SenderT, HoleReuseSender>) {
+            const Seq i = ghost_ns_ - w_;
+            return i < sender_.na() || (i < sender_.ns() && sender_.ackd(i));
+        } else {
+            return true;
+        }
     }
 
     /// Oracle evaluation of timeout(i)'s receiver conjunct: returns the

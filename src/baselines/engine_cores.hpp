@@ -332,10 +332,10 @@ public:
     bool can_send_new() const { return sender_.window_open(); }
 
     /// Real-time half of the send guard: residue quarantine.
-    SimTime send_blocked_until(SimTime now) const {
-        if (sender_.residue_free(now)) return now;
+    SimTime send_blocked_until(const runtime::TxView& tx) const {
+        if (sender_.residue_free(tx.now)) return tx.now;
         const SimTime ready = sender_.residue_ready_at();
-        BACP_ASSERT(ready > now);
+        BACP_ASSERT(ready > tx.now);
         return ready;
     }
 

@@ -150,7 +150,7 @@ struct RxOutcome {
 /// internally.  Optional extensions a runtime detects per core (see the
 /// kCore* traits below):
 ///
-///   send_blocked_until(now)      time gate on new sends (send horizon,
+///   send_blocked_until(tx)       time gate on new sends (send horizon,
 ///                                residue quarantine); the runtime sleeps
 ///                                until the returned instant
 ///   timeout_eligible(seq, bool)  SIV resend gate (realistic) and the
@@ -187,7 +187,9 @@ concept EndpointCore =
 /// core exercises the same policies over virtual and wall-clock time.
 template <typename C>
 inline constexpr bool kCoreTimeGatedSend =
-    requires(C& c, SimTime t) { { c.send_blocked_until(t) } -> std::convertible_to<SimTime>; };
+    requires(C& c, const TxView& tx) {
+        { c.send_blocked_until(tx) } -> std::convertible_to<SimTime>;
+    };
 
 template <typename C>
 inline constexpr bool kCoreGatedResend =

@@ -630,8 +630,9 @@ private:
                 // tested as future against the first read can be past by
                 // the next -- handing the timer wheel a negative delay.
                 const SimTime now = env_.now();
-                const SimTime ready = core_.send_blocked_until(now);
+                const SimTime ready = core_.send_blocked_until(txlog_.view(now, data_lifetime_));
                 if (ready > now) {
+                    ++metrics_.send_gate_stalls;
                     if (!blocked_timer_.armed()) blocked_timer_.restart(ready - now);
                     return;
                 }

@@ -18,6 +18,7 @@ struct Metrics {
     std::uint64_t data_new = 0;        // first transmissions (action 0)
     std::uint64_t data_retx = 0;       // retransmissions (action 2/2')
     std::uint64_t acks_received = 0;
+    std::uint64_t send_gate_stalls = 0;  // pumps stopped by send_blocked_until
 
     // Receiver side.
     std::uint64_t data_received = 0;   // every arriving data message
@@ -72,7 +73,7 @@ struct Metrics {
     std::string summary() const;
 
     using Field = MetricsField;
-    static constexpr std::size_t kFieldCount = 15;
+    static constexpr std::size_t kFieldCount = 16;
 
     /// The counter table (common/metrics_table.hpp): time stamps and the
     /// latency histograms are not counters and stay out; consumers
@@ -81,6 +82,7 @@ struct Metrics {
         {"data_new", &Metrics::data_new},
         {"data_retx", &Metrics::data_retx},
         {"acks_received", &Metrics::acks_received},
+        {"send_gate_stalls", &Metrics::send_gate_stalls},
         {"data_received", &Metrics::data_received},
         {"duplicates", &Metrics::duplicates},
         {"acks_sent", &Metrics::acks_sent},

@@ -350,15 +350,15 @@ TEST(NetStreamMux, GoldenReplayThreeStreams) {
         retx += b.link(s).endpoint().tx_metrics().data_retx;
     }
     EXPECT_EQ(ta->stats().datagrams_sent, 73u);
-    EXPECT_EQ(tb->stats().datagrams_sent, 78u);
+    EXPECT_EQ(tb->stats().datagrams_sent, 79u);
     EXPECT_EQ(retx, 8u);
     const std::vector<std::vector<SimTime>> golden_b = {
         {689859, 689859, 689859, 972341, 5943339, 5998421, 5998421, 5998421, 10622086, 10788169,
          10788169, 10788169, 15398785, 15398785, 15398785, 15803662},
         {798061, 798061, 798061, 798061, 5452216, 5822309, 5873268, 5873268, 10505974, 10897409,
-         23843604, 23843604, 23843604, 23843604, 28794195, 28794195},
+         23843604, 23843604, 23843604, 23843604, 28295495, 28295495},
         {355084, 405005, 760046, 770003, 5473473, 5473473, 5473473, 5473473, 10668238, 10668238,
-         10668238, 10668238, 31602969, 31836757, 32195028, 32195028},
+         10668238, 10668238, 28794195, 29301537, 31419400, 31660550},
     };
     const std::vector<std::vector<SimTime>> golden_a = {
         {744035, 768920, 768920, 768920, 5982407, 5982407, 5982407, 5982407, 10317829, 10317829,

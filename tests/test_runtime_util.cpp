@@ -231,36 +231,84 @@ TEST(SeqRing, ForEachVisitsStoredValues) {
 
 // --------------------------------------------------------------- SendHorizon --
 
+/// A transmission log of first sends, message i at sent[i].
+struct SentLog {
+    SeqTimeTable last_tx;
+
+    explicit SentLog(std::initializer_list<SimTime> sent) {
+        Seq i = 0;
+        for (const SimTime t : sent) last_tx.set(i++, t, 0);
+    }
+    TxView at(SimTime now, SimTime lifetime) const { return {now, lifetime, &last_tx}; }
+};
+
 TEST(SendHorizon, FreshHorizonNeverBlocks) {
-    SendHorizon h;
-    EXPECT_FALSE(h.blocks(0, 0));
-    EXPECT_FALSE(h.blocks(1'000'000, 0));
+    const SentLog log({});
+    const SendHorizon h(4);
+    EXPECT_EQ(h.blocked_until(0, true, log.at(0, 100)), 0);
+    EXPECT_EQ(h.blocked_until(3, true, log.at(0, 100)), 0);
 }
 
 TEST(SendHorizon, CapsAtAckedSeqPlusWindowUntilCopyDies) {
-    SendHorizon h;
-    // Message 3 acked at t=50 while a resent copy may live until t=100.
-    h.note(3, /*copy_gone=*/100, /*now=*/50, /*w=*/4);
-    EXPECT_FALSE(h.blocks(6, 60));  // 6 < 3 + 4
-    EXPECT_TRUE(h.blocks(7, 60));   // ns may not reach i + w
-    EXPECT_EQ(h.until(), 100);
-    EXPECT_FALSE(h.blocks(7, 100));  // copy provably dead: cap lifts
-    EXPECT_FALSE(h.blocks(7, 101));
+    // w = 4, L = 50; message 3 left at t=50, so its copy lives until 100.
+    const SentLog log({0, 10, 20, 50, 60, 70, 80});
+    const SendHorizon h(4);
+    EXPECT_EQ(h.blocked_until(7, true, log.at(90, 50)), 100);  // ns may not pass 3 + w
+    EXPECT_LE(h.blocked_until(7, true, log.at(100, 50)), 100);  // copy provably dead
 }
 
-TEST(SendHorizon, TightestCapAndLatestExpiryWin) {
-    SendHorizon h;
-    h.note(10, 200, 50, 8);  // cap 18 until 200
-    h.note(5, 120, 50, 8);   // cap 13, until stays 200
-    EXPECT_TRUE(h.blocks(13, 60));
-    EXPECT_FALSE(h.blocks(12, 60));
-    EXPECT_EQ(h.until(), 200);
+// The send of i + w waits until last_tx(i) + L and no longer: the cap
+// expires on its own instant, not at the latest expiry noted since.
+TEST(SendHorizon, SendOfIPlusWWaitsExactlyUntilItsCopyAgesOut) {
+    constexpr SimTime kL = 250;
+    const SentLog log({1'000, 1'010, 1'020, 1'030, 1'040, 1'050, 1'060, 1'070, 1'080, 1'090});
+    const SendHorizon h(8);
+    EXPECT_EQ(h.blocked_until(8, true, log.at(1'100, kL)), 1'000 + kL);
+    EXPECT_EQ(h.blocked_until(9, true, log.at(1'100, kL)), 1'010 + kL);
+    EXPECT_EQ(h.blocked_until(10, true, log.at(1'100, kL)), 1'020 + kL);
+}
+
+TEST(SendHorizon, EachCapLiftsAtItsOwnCopyGone) {
+    // Messages 0..7 left 10 apart; L = 100, w = 4.  Acks for all of them
+    // beat L, but each later send waits only for its own predecessor.
+    const SentLog log({0, 10, 20, 30, 40, 50, 60, 70});
+    SendHorizon h(4);
+    for (Seq i = 0; i < 4; ++i) h.note_ack(i, /*ns=*/4, log.at(35, 100));
+    const TxView at_105 = log.at(105, 100);
+    EXPECT_LE(h.blocked_until(4, true, at_105), 105);   // 0's copy died at 100
+    EXPECT_EQ(h.blocked_until(5, true, at_105), 110);   // 1's copy lives to 110
+    EXPECT_EQ(h.blocked_until(7, true, at_105), 130);
+}
+
+TEST(SendHorizon, UnackedPredecessorCapsNothing) {
+    // A hole-reusing sender can reach ns - w while it is still unacked:
+    // only an acknowledged copy carries a cap.
+    const SentLog log({0, 10, 20, 30, 40});
+    const SendHorizon h(4);
+    EXPECT_EQ(h.blocked_until(4, false, log.at(40, 100)), 0);
+    EXPECT_EQ(h.blocked_until(4, true, log.at(40, 100)), 100);
+}
+
+// Hole reuse lets ns - na exceed w, so an ack can arrive for i after
+// message i + w has left.  Every future send is >= i + w, so every one of
+// them waits for the copy; messages sent before the ack are not recalled.
+TEST(SendHorizon, LateAckUnderHoleReuseHoldsEveryFutureSend) {
+    const SentLog log({0, 10, 20, 30, 40, 50, 60});
+    SendHorizon h(4);
+    h.note_ack(0, /*ns=*/7, log.at(60, 500));  // 4, 5, 6 already left: until 500
+    EXPECT_EQ(h.blocked_until(7, false, log.at(60, 500)), 500);
+    h.note_ack(1, /*ns=*/7, log.at(60, 200));  // an earlier expiry adds nothing
+    EXPECT_EQ(h.blocked_until(7, false, log.at(60, 200)), 500);
+    h.note_ack(3, /*ns=*/7, log.at(60, 500));  // ns == 3 + w: the send of 7 reads it
+    EXPECT_EQ(h.blocked_until(7, true, log.at(60, 500)), 530);
 }
 
 TEST(SendHorizon, DeadCopyIsIgnored) {
-    SendHorizon h;
-    h.note(3, /*copy_gone=*/40, /*now=*/50, /*w=*/4);  // already gone
-    EXPECT_FALSE(h.blocks(100, 51));
+    const SentLog log({0, 10, 20, 30, 40});
+    SendHorizon h(4);
+    h.note_ack(0, /*ns=*/5, log.at(60, 40));  // already gone at 40
+    EXPECT_LE(h.blocked_until(5, true, log.at(60, 40)), 60);
+    EXPECT_LE(h.blocked_until(100, true, log.at(60, 40)), 60);
 }
 
 }  // namespace
