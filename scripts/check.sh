@@ -98,6 +98,13 @@ echo "== bench smoke: E10 CRC-32C + codec micro-benchmarks =="
 "$BUILD_DIR"/bench/bench_e10_micro --benchmark_filter='Crc32c|EncodeData|DecodeData' \
     --benchmark_min_time=0.01
 
+# NAK gate.  E11 requires, at every loss rate, that NAK resends stay at
+# or below the data frames the channel dropped (the receiver NAKs only a
+# proved loss, so reorder alone provokes none) and that NAKs never raise
+# the p99 delivery latency.  Simulated time: deterministic in any build.
+echo "== bench gate: E11 NAK resends bounded by drops =="
+"$BUILD_DIR"/bench/bench_e11_nak --check
+
 # Batch transport gates.  E19 asserts the engine-level syscall
 # amortization (>= 8 datagrams per sendmmsg on the clean batched path);
 # E21 asserts the zero-alloc receive arena (0 steady-state allocations

@@ -71,9 +71,9 @@ public:
           horizon_(cfg.w),
           adaptive_(cfg.adaptive_window),
           nak_enabled_(cfg.enable_nak),
-          nak_threshold_(cfg.nak_threshold),
           data_lifetime_(cfg.data_link.max_lifetime()),
           nak_interval_(cfg.data_link.max_lifetime() + cfg.ack_link.max_lifetime()) {
+        if (nak_enabled_) first_above_.resize(static_cast<std::size_t>(cfg.w));
         // Clipping one ack yields at most ceil(w/2) disjoint runs
         // (covered/uncovered must alternate); reserving now keeps the
         // worst-case ack off the allocator mid-run.
@@ -197,10 +197,11 @@ public:
     }
 
     /// Sender side of the NAK extension: a NAK names a message the
-    /// receiver provably lacks -- the "(i < nr || !rcvd[i])" oracle
-    /// conjunct, receiver-supplied.  The only remaining obligation before
-    /// resending is the one-copy rule: the previous copy must have aged
-    /// out of the data channel.
+    /// receiver lacks and whose first copy it has proved lost (see
+    /// maybe_make_nak) -- the "(i < nr || !rcvd[i])" oracle conjunct,
+    /// receiver-supplied.  A later copy may still be in transit, so the
+    /// one-copy rule remains: the previous copy must have aged out of the
+    /// data channel.
     std::optional<Seq> on_nak(const proto::Nak& nak, const runtime::TxView& tx) const {
         Seq true_seq;
         if constexpr (kBoundedSender) {
@@ -245,18 +246,14 @@ public:
             out.dup_ack = *dup;
             return out;
         }
+        if (nak_enabled_) note_arrival(msg.seq, now);
         // Action 4, repeated: deliver the contiguous run in order.
         while (receiver_.can_advance()) {
             receiver_.advance();
             ++ghost_vr_;
             ++out.delivered;
         }
-        if (out.delivered > 0) {
-            ooo_since_advance_ = 0;
-        } else {
-            ++ooo_since_advance_;  // buffered beyond a gap
-            out.nak = maybe_make_nak(now);
-        }
+        out.nak = maybe_make_nak(now);
         return out;
     }
 
@@ -434,13 +431,29 @@ private:
         }
     }
 
-    /// Receiver side of the NAK extension: after nak_threshold
-    /// out-of-order arrivals without progress, request the message
-    /// blocking vr (rate-limited to one NAK per blocked position per NAK
-    /// round trip).
+    /// Receiver side of the NAK extension, bookkeeping: the arrival with
+    /// wire field \p field stamps every position in [vr, its true seq)
+    /// that no higher message had reached yet with \p now.  Each position
+    /// is stamped once, so the loop is amortized O(1) per arrival.
+    void note_arrival(Seq field, SimTime now) {
+        Seq seq = field;
+        if constexpr (kBoundedReceiver) {
+            const Seq off = proto::mod_offset(receiver_.vr_mod(), field, receiver_.domain());
+            if (off >= w_) return;  // below vr
+            seq = ghost_vr_ + off;
+        }
+        for (Seq p = std::max(nak_top_, ghost_vr_); p < seq; ++p) first_above_[p % w_] = now;
+        nak_top_ = std::max(nak_top_, seq);
+    }
+
+    /// Receiver side of the NAK extension: request the message blocking
+    /// vr once its loss is proved.  First transmissions leave in sequence
+    /// order, so once a higher message has been held for the data
+    /// lifetime L, vr's first copy has aged out of the channel
+    /// (rate-limited to one NAK per blocked position per NAK round trip).
     std::optional<proto::Nak> maybe_make_nak(SimTime now) {
-        if (!nak_enabled_) return std::nullopt;
-        if (ooo_since_advance_ < nak_threshold_) return std::nullopt;
+        if (!nak_enabled_ || ghost_vr_ >= nak_top_) return std::nullopt;  // no hole at vr
+        if (now - first_above_[ghost_vr_ % w_] < data_lifetime_) return std::nullopt;
         const Seq missing_field = [&] {
             if constexpr (kBoundedReceiver) {
                 return receiver_.vr_mod();
@@ -489,7 +502,7 @@ private:
     runtime::SendHorizon horizon_;
     Seq ghost_ns_ = 0;  // true ns (== engine's sent_new counter)
     Seq ghost_na_ = 0;  // true na for bounded senders
-    Seq ghost_vr_ = 0;  // true vr for bounded receivers
+    Seq ghost_vr_ = 0;  // true vr
 
     // Adaptive-window (AIMD) state.
     bool adaptive_;
@@ -498,10 +511,12 @@ private:
 
     // NAK extension state.
     bool nak_enabled_;
-    Seq nak_threshold_;
     SimTime data_lifetime_;
     SimTime nak_interval_;
-    Seq ooo_since_advance_ = 0;  // out-of-order arrivals since vr moved
+    /// Per position p mod w in [vr, nak_top_): when a message above p
+    /// first arrived.  Sized w only when NAKs are on.
+    std::vector<SimTime> first_above_;
+    Seq nak_top_ = 0;
     Seq last_nak_field_ = ~Seq{0};
     SimTime last_nak_time_ = 0;
 

@@ -13,7 +13,6 @@ ByteChannel::Config channel_config(const ReliableLink::Config& cfg) {
 net::NetConfig endpoint_config(const ReliableLink::Config& cfg) {
     net::NetConfig endpoint = link_config(cfg.w, cfg.delay_hi, cfg.ack_policy, cfg.enable_nak);
     endpoint.timeout = cfg.timeout;
-    endpoint.nak_threshold = cfg.nak_threshold;
     return endpoint;
 }
 

@@ -48,9 +48,8 @@ public:
         runtime::AckPolicy ack_policy = runtime::AckPolicy::eager();
         std::uint64_t seed = 1;
         /// Fast-retransmit extension: NAK the message blocking delivery
-        /// after nak_threshold out-of-order arrivals (see DESIGN.md).
+        /// once its loss is proved (see DESIGN.md).
         bool enable_nak = false;
-        Seq nak_threshold = 3;
     };
 
     /// \p options reach the protocol core (its test-only negative-control

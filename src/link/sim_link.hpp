@@ -91,8 +91,8 @@ public:
 
     /// \p cfg configures both endpoints.  SimLink reads w,
     /// link_lifetime (the bound on one-way transit over the whole path:
-    /// propagation, queueing, relays), timeout, ack_policy, enable_nak,
-    /// nak_threshold and stream (when set, every frame carries that id,
+    /// propagation, queueing, relays), timeout, ack_policy, enable_nak
+    /// and stream (when set, every frame carries that id,
     /// so StreamMux can share one channel pair); it sets the counts and
     /// the payload gating itself.
     SimLink(sim::Simulator& sim, ByteChannel& data_out, ByteChannel& ack_out,

@@ -76,12 +76,12 @@ struct EngineConfig {
     /// over set-tracked channels only); violations throw AssertionError.
     bool check_invariants = false;
     /// Fast-retransmit extension (BA cores): the receiver NAKs the
-    /// message blocking vr after nak_threshold out-of-order arrivals; the
-    /// sender resends it as soon as the previous copy has provably aged
-    /// out of the channel.  Advisory: NAK loss or duplication affects
-    /// only latency.  See DESIGN.md (extensions).
+    /// message blocking vr once a higher message has been held for the
+    /// data lifetime, which proves vr's first copy lost; the sender
+    /// resends it as soon as the previous copy has provably aged out of
+    /// the channel.  Advisory: NAK loss or duplication affects only
+    /// latency.  See DESIGN.md (extensions).
     bool enable_nak = false;
-    Seq nak_threshold = 3;
     /// Variable-window extension (paper SVI): AIMD adaptation of the
     /// effective window limit within [1, w].  Only meaningful when the
     /// data link models a bottleneck queue, and only for cores whose
