@@ -335,7 +335,7 @@ int run_serve(const Params& p) {
                 (unsigned long long)st.sessions_reset,
                 (unsigned long long)server.protocol_metrics().delivered,
                 static_cast<double>(bytes) / 1e6,
-                server.merged_metrics().datagrams_per_send_syscall(),
+                server.transport_metrics().datagrams_per_send_syscall(),
                 mismatches == 0 ? "INTACT" : "CORRUPT");
     return mismatches == 0 ? 0 : 1;
 }

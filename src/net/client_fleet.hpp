@@ -8,8 +8,8 @@
 /// bottleneck (100k NetEngines would mean 100k sockets, 100k receive
 /// arenas, and 100k poll loops).  ClientFleet is the sender-side mirror
 /// of the server's shard: N NetEndpoint sessions share F connected
-/// sockets, one TimerWheel, and one receive arena.  Each session's
-/// egress stages onto its socket's shared SendBatch (the tick's frames
+/// sockets, one TimerWheel, and one receive arena.  Each session encodes
+/// onto its socket's shared SendBatch (SharedBatchPort; the tick's frames
 /// from every session on that socket leave in one sendmmsg), and
 /// arriving acks are demuxed back by connection id -- decoded exactly
 /// once, handed to the owning session as a FrameView.
@@ -17,9 +17,8 @@
 /// Sessions never touch a socket themselves: they are driven through
 /// NetEndpoint::handle_frame(), so their lazy receive arenas are never
 /// built.  Every member records its ack latency into the fleet's one
-/// histogram (ack_latency()), so no member allocates histogram buckets:
-/// a member holds its endpoint (driver, cores and port, about 4 KiB)
-/// and a two-frame send slab, about 6.6 KiB at w=2
+/// histogram (ack_latency()), so a member holds only its endpoint
+/// (driver, cores and port), about 6.1 KiB of heap at w=2
 /// (tests/test_session_footprint.cpp).
 /// Connection ids are dense (first_conn .. first_conn + sessions - 1),
 /// making demux an index, not a hash.
@@ -55,7 +54,7 @@ namespace bacp::net {
 /// Fleet topology and per-session protocol surface.
 struct FleetConfig {
     /// Per-session protocol configuration; each session gets a copy with
-    /// its connection tag, sub-seed, and immediate-flush egress applied.
+    /// its connection tag and sub-seed applied (`batch` is unused).
     NetConfig session;
     /// Total sessions the fleet will run to completion.
     std::size_t sessions = 1;
@@ -102,6 +101,7 @@ template <runtime::EndpointCore Core>
 class ClientFleet {
 public:
     using Options = typename Core::Options;
+    using Endpoint = NetEndpoint<Core, SharedBatchPort<SendBatch>>;
 
     /// \p sockets are connected transports to the server (not owned;
     /// must outlive the fleet).  Session i sends through socket
@@ -125,9 +125,6 @@ public:
         for (std::size_t i = 0; i < cfg_.sessions; ++i) {
             const Seq conn = cfg_.first_conn + static_cast<Seq>(i);
             NetConfig session_cfg = cfg_.session;
-            // Every send lands in the socket batch the same tick; the
-            // *socket* flush is the real batching boundary.
-            session_cfg.batch = 1;
             session_cfg.seed = runtime::mix_seed(cfg_.session.seed, conn);
             session_cfg.conn = wire::Conn{conn, cfg_.epoch};
             members_.push_back(std::make_unique<Member>(
@@ -173,7 +170,7 @@ public:
     const FleetStats& stats() const { return stats_; }
     TimerWheel& wheel() { return *wheel_; }
     /// Session \p i (connection first_conn + i), for its observers.
-    const NetEndpoint<Core>& session(std::size_t i) const { return members_[i]->sender; }
+    const Endpoint& session(std::size_t i) const { return members_[i]->sender; }
     /// Ack latency of every message any member has retired (first
     /// transmission to the ack that retired it); the members' own
     /// tx_metrics().ack_latency stay empty.
@@ -198,31 +195,6 @@ public:
     }
 
 private:
-    /// Per-session egress: stages every frame onto the session's
-    /// socket-shared SendBatch (SessionEgress's connected-socket twin).
-    class FleetEgress final : public Transport {
-    public:
-        explicit FleetEgress(SendBatch& out) : out_(&out) {}
-
-        std::size_t send_batch(
-            std::span<const std::span<const std::uint8_t>> datagrams) override {
-            for (const std::span<const std::uint8_t> datagram : datagrams) {
-                out_->append(datagram);
-                stats_.bytes_sent += datagram.size();
-            }
-            stats_.datagrams_sent += datagrams.size();
-            return datagrams.size();
-        }
-
-        std::size_t recv_batch(RecvBatch& batch) override {
-            batch.clear();  // sessions never receive through their egress
-            return 0;
-        }
-
-    private:
-        SendBatch* out_;
-    };
-
     struct Socket {
         Transport* transport = nullptr;
         SendBatch staging;  // the tick's frames from every session here
@@ -230,9 +202,8 @@ private:
 
     struct Member {
         Member(const NetConfig& cfg, const Options& options, TimerWheel& wheel, SendBatch& out)
-            : egress(out), sender(cfg, options, wheel, egress) {}
-        FleetEgress egress;        // declared first: sender holds a reference
-        NetEndpoint<Core> sender;
+            : sender(cfg, options, wheel, out) {}
+        Endpoint sender;
         bool touched = false;
         bool finished = false;
     };

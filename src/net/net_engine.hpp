@@ -12,8 +12,8 @@
 /// sending-half and a receiving-half EndpointDriver sharing this
 /// environment's clock, timers, and egress) and exchanges frames
 /// serialized through wire::codec.  Time, timers and egress come from a
-/// *port*: NetPort (TimerWheel + Transport + SendBatch) for the real
-/// network, link::SimPort (Simulator + ByteChannel) for the
+/// *port*: NetPort or SharedBatchPort (a TimerWheel and a send batch) for
+/// the real network, link::SimPort (Simulator + ByteChannel) for the
 /// discrete-event link layer -- so the DES link and the real network
 /// run one frame-handling path as well as one driver.  The classic
 /// one-way shapes are trivial configurations of it: count > 0,
@@ -54,6 +54,7 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -100,16 +101,17 @@ struct NetConfig : runtime::EngineConfig {
     /// symmetrically.  Lets a scenario impair one direction only (the
     /// cross-runtime parity test scripts data-channel drops this way).
     std::optional<ImpairSpec> impair_ack;
-    /// Datagrams per transport batch: the RecvBatch arena capacity and
+    /// Datagrams per NetPort batch: the RecvBatch arena capacity and
     /// the flush granularity of the tick's staged sends.  0 sizes it
     /// from the window -- the batch the protocol naturally builds.
     /// 1 degenerates to the single-shot path (one syscall per datagram),
-    /// kept as the A/B baseline E19 measures against.
+    /// kept as the A/B baseline E19 measures against.  Server and fleet
+    /// sessions ignore it (they stage onto their owner's batch).
     std::size_t batch = 0;
     /// Largest datagram this endpoint expects (the RecvBatch arena
     /// stride).  The UDP maximum is always safe; a server hosting
-    /// thousands of sessions shrinks it to its known frame size so
-    /// per-session arenas stay cheap.
+    /// thousands of sessions shrinks it to its known frame size so its
+    /// shard arenas stay cheap.
     std::size_t max_datagram = kMaxDatagram;
     /// Connection tag stamped on every frame this endpoint encodes.
     /// Untagged (the default) selects the byte-identical v1 wire format;
@@ -241,12 +243,22 @@ std::size_t drain_ingress(Transport& transport, RecvBatch& rx, TimerWheel& wheel
     }
 }
 
-/// The real-network port of a NetEndpoint: a TimerWheel for the drivers'
-/// timers, a Transport below, and the tick's SendBatch.  Egress is staged
-/// onto the batch and flushed once per poll() (or per frame, when the
-/// configuration asks for unbatched sends); poll() is the event-loop
-/// body and must be called from one thread only.  link::NetStreamMux
-/// polls its shared socket through a receive-only NetPort of its own.
+/// Reserves the most timers an endpoint can hold (one per outstanding
+/// message plus each half's singletons), so a late loss burst grows nothing.
+inline void reserve_endpoint_timers(const NetConfig& cfg, TimerWheel& wheel) {
+    std::size_t timers = 4;
+    if (cfg.count > 0) timers += static_cast<std::size_t>(cfg.w) + 4;
+    if (cfg.piggyback) timers += 1;
+    wheel.reserve(timers);
+}
+
+/// The port of a point-to-point NetEndpoint: a TimerWheel for the
+/// drivers' timers, a Transport below, and the tick's SendBatch.  Egress
+/// is staged onto the batch and flushed once per poll() (or per frame,
+/// when the configuration asks for unbatched sends); poll() is the
+/// event-loop body and must be called from one thread only.
+/// link::NetStreamMux polls its shared socket through a receive-only
+/// NetPort of its own.
 class NetPort {
 public:
     /// \p wheel is the endpoint's (and, when impaired, its Impairer's)
@@ -256,28 +268,12 @@ public:
           transport_(&transport),
           batch_(cfg.effective_batch()),
           max_datagram_(cfg.max_datagram) {
-        // Worst case live timers: one per outstanding message (per-message
-        // mode) plus the simple/quiescence/pacing/ack-flush singletons of
-        // each active half and the deferral flush timer.  Reserving now
-        // means a loss burst late in a run grows nothing.
-        std::size_t timers = 4;
-        if (cfg.count > 0) timers += static_cast<std::size_t>(cfg.w) + 4;
-        if (cfg.piggyback) timers += 1;
-        wheel_.reserve(timers);
-        // Size the batch builder for the largest burst it can hold, now
-        // rather than letting it creep to high water mid-run.
-        batch_cap_ = burst_frames(cfg);
+        reserve_endpoint_timers(cfg, wheel_);
+        // Size the batch builder for its largest burst now: a wrapped
+        // ack's two frames unbatched; batched, a tick's timeout burst,
+        // the acks of a full arena and the resends they release.
+        batch_cap_ = batch_ <= 1 ? 2 : 4 * static_cast<std::size_t>(cfg.w) + 32;
         tx_batch_.reserve(batch_cap_, batch_cap_ * (cfg.payload_size + 128));
-    }
-
-    /// Frames staged between two flushes at most.  Unbatched sending
-    /// flushes after every protocol step, and the biggest step is a
-    /// wrapped ack split into two frames.  Batched, one tick can stage a
-    /// timeout burst of DATA, the acks provoked by a full receive arena,
-    /// and the retransmissions those acks release -- all before the
-    /// poll's flush.
-    static std::size_t burst_frames(const NetConfig& cfg) {
-        return cfg.effective_batch() <= 1 ? 2 : 4 * static_cast<std::size_t>(cfg.w) + 32;
     }
 
     TimerService& timer_service() { return wheel_; }
@@ -337,14 +333,89 @@ private:
     std::unique_ptr<RecvBatch> rx_batch_;    // lazy: see rx_batch()
 };
 
+/// The port of an endpoint a multiplexing owner drives: a Server session
+/// (Batch = AddressedSendBatch, frames bound for \p peer) or a ClientFleet
+/// member (Batch = SendBatch, its socket's).  Timers come from the
+/// owner's wheel and stage() encodes straight onto the owner's batch,
+/// which the owner flushes once per poll, so staged() and flush() do
+/// nothing.  With \p impair set (a session of an impaired server), each
+/// frame is encoded into one reused buffer and offered to an Impairer
+/// seeded with cfg.seed, whose inner transport is this port.
+template <typename Batch>
+class SharedBatchPort final : public Transport {
+public:
+    SharedBatchPort(const NetConfig& cfg, TimerWheel& wheel, Batch& out, PeerAddr peer = {},
+                    const ImpairSpec* impair = nullptr)
+        : wheel_(wheel), out_(&out), peer_(peer) {
+        reserve_endpoint_timers(cfg, wheel_);
+        if (impair) impairer_ = std::make_unique<Impairer>(*this, wheel_, *impair, cfg.seed);
+    }
+
+    TimerService& timer_service() { return wheel_; }
+    SimTime now() const { return wheel_.now(); }
+    TimerWheel::Step step() { return wheel_.step(); }
+
+    template <typename Encode>
+    void stage(Encode&& encode) {
+        if (!impairer_) return append(encode);
+        frame_.clear();
+        encode(frame_);
+        const std::span<const std::uint8_t> datagram[] = {frame_};
+        impairer_->send_batch(datagram);
+    }
+    void staged() {}
+    void flush() {}
+
+    /// The Impairer's inner transport: stages every copy it lets through.
+    std::size_t send_batch(std::span<const std::span<const std::uint8_t>> datagrams) override {
+        for (const std::span<const std::uint8_t> d : datagrams) {
+            append([&](std::vector<std::uint8_t>& b) { b.insert(b.end(), d.begin(), d.end()); });
+        }
+        return datagrams.size();
+    }
+    std::size_t recv_batch(RecvBatch& batch) override {
+        batch.clear();  // the owner receives for its endpoints
+        return 0;
+    }
+
+    /// Null when unimpaired; the owner flushes its matured copies.
+    Impairer* impairer() const { return impairer_.get(); }
+    /// Send totals: the Impairer's when impaired (they include what it
+    /// forwarded), else the datagrams and bytes this port staged.
+    const Metrics& totals() const { return impairer_ ? impairer_->stats() : stats(); }
+
+private:
+    template <typename Encode>
+    void append(Encode&& encode) {
+        const auto counted = [&](std::vector<std::uint8_t>& slab) {
+            const std::size_t base = slab.size();
+            encode(slab);
+            stats_.bytes_sent += slab.size() - base;
+        };
+        if constexpr (std::is_same_v<Batch, AddressedSendBatch>) {
+            out_->append_with(peer_, counted);
+        } else {
+            out_->append_with(counted);
+        }
+        ++stats_.datagrams_sent;
+    }
+
+    TimerWheel& wheel_;
+    Batch* out_;
+    PeerAddr peer_;
+    std::unique_ptr<Impairer> impairer_;
+    std::vector<std::uint8_t> frame_;  // the impaired path's reused buffer
+};
+
 /// One duplex endpoint: the environment for a DuplexDriver, over a
 /// *port* that supplies time, timers and frame egress.  Everything that
 /// does not depend on the port lives here exactly once: frame dispatch,
 /// the receive-side payload stash (and its dup-ack erase), payload
-/// staging, the wrapped-ack split, and delivery.  Two ports exist:
+/// staging, the wrapped-ack split, and delivery.  Three ports exist:
 ///
-///   NetPort (default)  TimerWheel + Transport + SendBatch -- the real
-///                      network (Server, ClientFleet, NetReliableLink);
+///   NetPort (default)  TimerWheel + Transport + SendBatch -- a
+///                      point-to-point endpoint (NetReliableLink, ...);
+///   SharedBatchPort    a Server session or ClientFleet member;
 ///   link::SimPort      sim::Simulator + one outbound link::ByteChannel
 ///                      -- the discrete-event link layer (ReliableLink,
 ///                      StreamMux, the multihop paths, DuplexSession).
@@ -466,6 +537,7 @@ public:
 
     const NetConfig& config() const { return cfg_; }
     TimerWheel& wheel() { return port_.wheel(); }
+    const Port& port() const { return port_; }
     /// The sending half, for its observers (sent_new, released,
     /// ack_cursor, first_sent_at).
     const auto& tx_driver() const { return duplex_.tx_driver(); }

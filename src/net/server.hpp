@@ -18,8 +18,8 @@
 /// multiplexing by construction:
 ///   ingress  recvmmsg fills the shard arena; demux is a hash
 ///            lookup per datagram, allocation-free.
-///   egress   each session "flushes" into a SessionEgress that merely
-///            appends to the *shard's* AddressedSendBatch; the shard
+///   egress   each session's port (SharedBatchPort) encodes its frames
+///            straight onto the *shard's* AddressedSendBatch; the shard
 ///            pushes the whole tick's frames -- interleaved across every
 ///            session that spoke -- through one sendmmsg.
 ///
@@ -76,7 +76,7 @@ namespace bacp::net {
 struct ServerConfig {
     /// Per-session protocol configuration (window, rx_count, timeout
     /// mode, payload size, base seed...).  Each session gets a copy with
-    /// its connection tag, sub-seed, and immediate-flush egress applied.
+    /// its connection tag and sub-seed applied (`batch` is unused).
     /// Sessions are duplex endpoints: rx_count is what each session
     /// expects to sink from its peer, count what it originates back
     /// (default 0 -- a classic sink-only server).
@@ -106,8 +106,8 @@ struct ServerConfig {
     std::size_t max_sessions = 1 << 16;
     /// Per-shard session-memory budget in bytes (0 = uncapped).  The
     /// effective shard cap is min(max_sessions, budget / footprint)
-    /// where the footprint counts the session record, driver, send slab,
-    /// fed latency histograms and the w-sized payload stash --
+    /// where the footprint counts the session record, driver, fed
+    /// latency histograms and the w-sized payload stash --
     /// out-of-order caching is a budgeted resource, not an implicit
     /// per-session given.
     std::size_t arena_budget = 0;
@@ -177,34 +177,6 @@ struct ServerStats {
     std::string to_json() const { return fields_json(fields()); }
 };
 
-/// Per-session egress: a Transport that stages every datagram onto the
-/// shard's shared AddressedSendBatch, bound for this session's peer.
-/// No boundary crossing happens here (syscall counters stay zero); the
-/// shard's one flush is the crossing.  Its datagram/byte counters are
-/// the per-session send totals the metrics view reports.
-class SessionEgress final : public Transport {
-public:
-    SessionEgress(AddressedSendBatch& out, PeerAddr peer) : out_(&out), peer_(peer) {}
-
-    std::size_t send_batch(std::span<const std::span<const std::uint8_t>> datagrams) override {
-        for (const std::span<const std::uint8_t> datagram : datagrams) {
-            out_->append(peer_, datagram);
-            stats_.bytes_sent += datagram.size();
-        }
-        stats_.datagrams_sent += datagrams.size();
-        return datagrams.size();
-    }
-
-    std::size_t recv_batch(RecvBatch& batch) override {
-        batch.clear();  // sessions never receive through their egress
-        return 0;
-    }
-
-private:
-    AddressedSendBatch* out_;
-    PeerAddr peer_;
-};
-
 /// Flat session-table key: which peer socket, which connection at it.
 struct SessionKey {
     std::uint64_t peer = 0;  // PeerAddr::key()
@@ -228,7 +200,7 @@ struct SessionView {
     Seq delivered = 0;
     std::uint64_t bytes_delivered = 0;
     std::uint64_t payload_mismatches = 0;
-    Metrics transport;  // egress totals (+ impairment decisions if any)
+    Metrics transport;  // this incarnation's sends (+ impairment decisions if any)
     sim::Metrics protocol;  // driver counters (NetEndpoint::metrics())
 };
 
@@ -294,13 +266,12 @@ public:
         Shard& s = *shards_[idx];
         const std::size_t fired = s.wheel->fire_due();
         std::size_t work = fired;
-        if (fired > 0 && s.has_impaired) {
+        if (fired > 0 && cfg_.impaired()) {
             // Matured delayed copies were staged by the wheel; push each
             // session's coalesced group into the shard batch.
             s.sessions.for_each([](const SessionKey&, Session& session) {
-                if (session.impairer && session.impairer->has_staged()) {
-                    session.impairer->flush();
-                }
+                Impairer* impairer = session.endpoint->port().impairer();
+                if (impairer != nullptr && impairer->has_staged()) impairer->flush();
             });
         }
         work += drain_ingress(*s.transport, s.rx, *s.wheel, &s.held_acks,
@@ -372,9 +343,9 @@ public:
         return total;
     }
 
-    /// Merged view: shard sockets plus every session's egress and
-    /// impairment counters (evicted sessions included -- their totals
-    /// are drained into the shard on teardown).
+    /// Merged view: shard sockets plus every session's send and impair
+    /// counters (evicted and reset incarnations drained into the shard),
+    /// so each datagram counts twice: read ratios from transport_metrics().
     Metrics merged_metrics() const {
         Metrics total = transport_metrics();
         for (const auto& s : shards_) {
@@ -466,15 +437,15 @@ public:
     }
 
 private:
+    using Endpoint = NetEndpoint<Core, SharedBatchPort<AddressedSendBatch>>;
+
     struct Session {
         PeerAddr peer;
         Seq conn = 0;
         Seq epoch = 0;
         bool tagged = false;  // v1 peers get v1 (untagged) replies
         SimTime last_activity = 0;
-        std::unique_ptr<SessionEgress> egress;
-        std::unique_ptr<Impairer> impairer;  // null when cfg.impair is transparent
-        std::unique_ptr<NetEndpoint<Core>> endpoint;
+        std::unique_ptr<Endpoint> endpoint;
     };
 
     struct Shard {
@@ -491,16 +462,13 @@ private:
         FlatTable<SessionKey, Session, SessionKeyHash> sessions;
         SimTime next_sweep = 0;
         ServerStats stats;
-        Metrics drained;  // egress/impair totals of evicted sessions
-        bool has_impaired = false;
+        Metrics drained;  // send/impair totals of evicted and reset incarnations
         std::vector<SessionKey> evict_scratch;
         std::size_t victim_cursor = 0;  // rotating pressure-sampling start
     };
 
-    static Metrics session_transport(const Session& session) {
-        // The impairer wraps the egress, so its counters *include* the
-        // forwarding totals; report whichever is outermost.
-        return session.impairer ? session.impairer->stats() : session.egress->stats();
+    static const Metrics& session_transport(const Session& session) {
+        return session.endpoint->port().totals();
     }
 
     /// Runs inside the datagram's step (drain_ingress), so opening,
@@ -547,7 +515,6 @@ private:
         session->epoch = epoch;
         session->tagged = tagged;
         session->last_activity = s.wheel->now();
-        session->egress = std::make_unique<SessionEgress>(s.tx, peer);
         attach_endpoint(s, *session);
         return session;
     }
@@ -584,24 +551,15 @@ private:
     }
 
     /// (Re)builds the protocol half of a session: per-session config
-    /// (conn tag, sub-seed, immediate-flush egress), optional impairer,
-    /// endpoint driver.
+    /// (conn tag, sub-seed) and the endpoint, whose port stages onto the
+    /// shard batch (through an Impairer on that sub-seed when impaired).
     void attach_endpoint(Shard& s, Session& session) {
         NetConfig cfg = cfg_.session;
-        // Every send_ack lands in the shard batch the same tick; the
-        // *shard* flush is the real batching boundary.
-        cfg.batch = 1;
         cfg.seed = runtime::mix_seed(cfg_.session.seed, session.conn);
         if (session.tagged) cfg.conn = wire::Conn{session.conn, session.epoch};
-        Transport* sink = session.egress.get();
-        if (cfg_.impaired()) {
-            session.impairer = std::make_unique<Impairer>(
-                *sink, *s.wheel, cfg_.impair, runtime::mix_seed(cfg_.session.seed, session.conn));
-            sink = session.impairer.get();
-            s.has_impaired = true;
-        }
+        const ImpairSpec* impair = cfg_.impaired() ? &cfg_.impair : nullptr;
         session.endpoint =
-            std::make_unique<NetEndpoint<Core>>(cfg, options_, *s.wheel, *sink);
+            std::make_unique<Endpoint>(cfg, options_, *s.wheel, s.tx, session.peer, impair);
         session.endpoint->hold_acks_in(s.held_acks);
         // A duplex session (count > 0) starts originating immediately:
         // the first frame from the peer both opened the session and
@@ -610,11 +568,10 @@ private:
     }
 
     void reset_session(Shard& s, Session& session, Seq epoch) {
-        // Order matters: the endpoint sends through the impairer, so it
-        // dies first; both cancel their wheel timers on destruction.
+        // The endpoint's destructor cancels its timers and takes its port's
+        // counters and impairer along: the new incarnation counts from 0.
         s.drained += session_transport(session);
         session.endpoint.reset();
-        session.impairer.reset();
         session.epoch = epoch;
         attach_endpoint(s, session);
     }
@@ -635,26 +592,22 @@ private:
     }
 
     /// Estimated heap bytes per session: the slab record, the endpoint
-    /// (driver, cores, port) and its egress, the w-sized out-of-order
-    /// payload stash (w+1 parked buffers), the port's send slab, and ~4
-    /// timer nodes on the shared wheel.  Of the four latency histograms
-    /// an endpoint carries, only the sending half's ack-latency one is
-    /// ever fed, so only a session that originates data (count > 0)
-    /// allocates buckets: (64 - 5 + 1) << 5 counters at sim::Metrics'
-    /// 5 sub-bits (common/histogram.hpp).  An estimate, not an
-    /// accounting: the budget steers the cap, the cap is exact.
+    /// (driver, cores, port), the w-sized out-of-order payload stash
+    /// (w+1 parked buffers), and ~4 timer nodes on the shared wheel.
+    /// Of an endpoint's four latency histograms only the sending half's
+    /// ack-latency one is ever fed, so only a session that originates
+    /// data (count > 0) allocates buckets: (64 - 5 + 1) << 5 counters at
+    /// sim::Metrics' 5 sub-bits (common/histogram.hpp).  An estimate, not
+    /// an accounting: the budget steers the cap, the cap is exact.
     /// tests/test_session_footprint.cpp holds it within 2x of the bytes
     /// a session allocates.
     std::size_t session_footprint() const {
         const std::size_t w = static_cast<std::size_t>(cfg_.session.w);
         const std::size_t payload = cfg_.session.payload_size;
-        NetConfig port_cfg = cfg_.session;
-        port_cfg.batch = 1;  // as attach_endpoint() runs it
         const std::size_t histograms =
             cfg_.session.count > 0 ? (std::size_t{64 - 5 + 1} << 5) * sizeof(std::uint64_t) : 0;
-        return sizeof(Session) + sizeof(NetEndpoint<Core>) + sizeof(SessionEgress) +
-               (w + 1) * (payload + sizeof(std::vector<std::uint8_t>)) +
-               NetPort::burst_frames(port_cfg) * (payload + 128) + histograms + 4 * 128;
+        return sizeof(Session) + sizeof(Endpoint) +
+               (w + 1) * (payload + sizeof(std::vector<std::uint8_t>)) + histograms + 4 * 128;
     }
 
     std::size_t shard_session_cap() const {

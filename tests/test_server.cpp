@@ -290,6 +290,44 @@ TEST(Server, MidWindowCrashThenEpochRejoinDeliversExactlyOnce) {
     EXPECT_EQ(view.payload_mismatches, 0u);
 }
 
+// An epoch reset drains the old incarnation's egress counters into the
+// shard and counts the new incarnation's sends from zero, so every
+// datagram the shard sent is counted once across the live and drained
+// session totals: merged_metrics() (shard socket + sessions) reads twice
+// the socket's sends, and the live view only what the new incarnation
+// sent.
+TEST(Server, EpochResetCountsEachSessionSendOnce) {
+    ManualClock clock;
+    InprocHub hub;
+    Server<Core> server(server_config(), {}, clock, {&hub.server()});
+
+    Client a = make_client(hub, clock, client_config(10, wire::Conn{7, 1}));
+    drive(clock, server, {&a});
+    ASSERT_TRUE(a.sender->done());
+    const Metrics first = server.sessions()[0].transport;
+    ASSERT_GT(first.datagrams_sent, 0u);
+    ASSERT_EQ(first.datagrams_sent, server.transport_metrics().datagrams_sent);
+
+    a.sender.reset();
+    a.wheel = std::make_unique<TimerWheel>(clock);
+    a.sender = std::make_unique<NetEndpoint<Core>>(client_config(5, wire::Conn{7, 2}),
+                                                 typename Core::Options{}, *a.wheel,
+                                                 *a.transport);
+    a.sender->start();
+    drive(clock, server, {&a});
+    ASSERT_TRUE(a.sender->done());
+    ASSERT_EQ(server.stats().sessions_reset, 1u);
+
+    const Metrics socket = server.transport_metrics();
+    const Metrics live = server.sessions()[0].transport;
+    EXPECT_GT(live.datagrams_sent, 0u);
+    EXPECT_EQ(live.datagrams_sent, socket.datagrams_sent - first.datagrams_sent);
+    EXPECT_EQ(live.bytes_sent, socket.bytes_sent - first.bytes_sent);
+    const Metrics merged = server.merged_metrics();
+    EXPECT_EQ(merged.datagrams_sent, 2 * socket.datagrams_sent);
+    EXPECT_EQ(merged.bytes_sent, 2 * socket.bytes_sent);
+}
+
 TEST(Server, IdleEvictionCancelsAllSessionTimers) {
     ServerConfig cfg = server_config();
     cfg.idle_timeout = 100 * kMillisecond;
@@ -624,6 +662,95 @@ TEST(Server, DelayedAckCopiesLeaveWhenTheyMature) {
     EXPECT_TRUE(clients[0].sender->done());
     EXPECT_EQ(clients[0].sender->metrics().data_retx, 0u);
     EXPECT_GT(server.merged_metrics().delayed, 0u);
+}
+
+// ---- shard egress, byte for byte ---------------------------------------
+
+/// The hub's server endpoint with a recorder on its sends: an FNV-1a
+/// digest of every datagram the shard sends (its peer, its length, its
+/// bytes), chained in send order.
+class EgressDigest final : public AddressedTransport {
+public:
+    explicit EgressDigest(AddressedTransport& inner) : inner_(&inner) {}
+
+    std::size_t send_batch(std::span<const std::span<const std::uint8_t>> datagrams) override {
+        return inner_->send_batch(datagrams);
+    }
+    std::size_t send_batch_to(std::span<const std::span<const std::uint8_t>> datagrams,
+                              std::span<const PeerAddr> peers) override {
+        for (std::size_t i = 0; i < datagrams.size(); ++i) {
+            mix(peers[i].key());
+            mix(datagrams[i].size());
+            for (const std::uint8_t byte : datagrams[i]) mix_byte(byte);
+            ++datagrams_;
+        }
+        return inner_->send_batch_to(datagrams, peers);
+    }
+    std::size_t recv_batch(RecvBatch& batch) override { return inner_->recv_batch(batch); }
+
+    std::uint64_t digest() const { return digest_; }
+    std::uint64_t datagrams() const { return datagrams_; }
+
+private:
+    void mix_byte(std::uint8_t byte) { digest_ = (digest_ ^ byte) * 0x100000001b3ULL; }
+    void mix(std::uint64_t word) {
+        for (int b = 0; b < 8; ++b) mix_byte(static_cast<std::uint8_t>(word >> (8 * b)));
+    }
+
+    AddressedTransport* inner_;
+    std::uint64_t digest_ = 0xcbf29ce484222325ULL;
+    std::uint64_t datagrams_ = 0;
+};
+
+/// Every datagram two shards send, under \p impair: a sink shard serving
+/// three tagged clients and one v1 client, then a duplex shard whose four
+/// sessions originate data back with acks riding it.  One recorder runs
+/// through both, so the digest pins their egress in order.
+std::pair<std::uint64_t, std::uint64_t> shard_egress(const ImpairSpec& impair) {
+    std::uint64_t digest = 0;
+    std::uint64_t datagrams = 0;
+    for (const bool duplex : {false, true}) {
+        ServerConfig cfg = server_config();
+        cfg.impair = impair;
+        if (duplex) {
+            cfg.session.count = 12;
+            cfg.session.piggyback = true;
+        }
+        ManualClock clock;
+        InprocHub hub;
+        EgressDigest tap(hub.server());
+        Server<Core> server(cfg, {}, clock, {&tap});
+        std::vector<Client> clients;
+        for (Seq id = 1; id <= 4; ++id) {
+            NetConfig ccfg = client_config(20 + 3 * id, wire::Conn{id, 1});
+            if (!duplex && id == 4) ccfg.conn = wire::Conn{};  // a v1 peer
+            if (duplex) {
+                ccfg.rx_count = 12;
+                ccfg.piggyback = true;
+            }
+            clients.push_back(make_client(hub, clock, ccfg));
+        }
+        drive(clock, server, raw(clients));
+        for (Client& c : clients) EXPECT_TRUE(c.sender->done());
+        for (const SessionView& v : server.sessions()) EXPECT_EQ(v.payload_mismatches, 0u);
+        digest = digest * 31 + tap.digest();
+        datagrams += tap.datagrams();
+    }
+    return {digest, datagrams};
+}
+
+// The shard's egress, datagram by datagram, recorded before server
+// sessions staged their frames straight onto the shard batch (they went
+// through a per-session slab and egress object then).  The unimpaired
+// run must never move; the impaired one pins the Impairer's draw order
+// and the moment each matured copy leaves.
+TEST(Server, ShardEgressIsPinnedByteForByte) {
+    const auto [clean, clean_count] = shard_egress(ImpairSpec{});
+    EXPECT_EQ(clean, 0xcd875f1efd4a64e0ULL) << std::hex << clean;
+    EXPECT_EQ(clean_count, 106u);
+    const auto [lossy, lossy_count] = shard_egress(ImpairSpec::lossy(0.1));
+    EXPECT_EQ(lossy, 0x95f60c1341621d12ULL) << std::hex << lossy;
+    EXPECT_EQ(lossy_count, 158u);
 }
 
 // ---- threaded shard loops ----------------------------------------------

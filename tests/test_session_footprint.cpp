@@ -280,9 +280,12 @@ Footprint measure() {
 // 75266 B per fleet member.  Lazy histograms and a two-frame slab leave
 // 6096 B per server session; a fleet member that also fed its own
 // ack-latency histogram (15 KiB) held 21866 B, and one that records into
-// the fleet's shared histogram holds 6754 B.
-constexpr double kServerBound = 8 * 1024;
-constexpr double kFleetBound = 8 * 1024;
+// the fleet's shared histogram holds 6754 B.  Staging straight onto the
+// shard's or socket's batch (no send slab, no egress object) leaves
+// 5549 B per server session (was 6028 B) and 6275 B per fleet member
+// (was 6762 B).
+constexpr double kServerBound = 6 * 1024;
+constexpr double kFleetBound = 7 * 1024;
 
 TEST(SessionFootprint, ServerSessionsAndFleetMembersHoldOnlyWhatTheyUse) {
     const Footprint f = measure();
